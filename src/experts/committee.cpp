@@ -234,10 +234,16 @@ std::vector<std::vector<std::vector<double>>> ExpertCommittee::expert_votes_batc
     record_batch_time();
     return out;
   }
-  pool_->parallel_chunks(ids.size(), [&](std::size_t begin, std::size_t end) {
-    // Private replica per chunk: inference mutates layer caches, so the
-    // shared roster cannot serve two threads. Clones carry the exact trained
-    // parameters, so every chunk computes the same bits the serial path would.
+  // Private replica per chunk: inference mutates layer caches, so the
+  // shared roster cannot serve two threads. Clones carry the exact trained
+  // parameters, so every chunk computes the same bits the serial path would.
+  // Called from one of the pool's own workers (a serving dispatch), the
+  // batch stays one chunk with one roster clone: further chunks would each
+  // pay a clone on the request's latency path while other dispatches
+  // compete for the same workers.
+  const std::size_t grain = pool_->on_worker() ? ids.size() : 1;
+  pool_->parallel_chunks_grained(ids.size(), grain,
+                                 [&](std::size_t begin, std::size_t end) {
     std::vector<std::unique_ptr<DdaAlgorithm>> replica;
     replica.reserve(experts_.size());
     for (const auto& e : experts_) replica.push_back(e->clone());

@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -14,14 +15,17 @@ namespace {
 
 std::atomic<ConvKernelMode> g_kernel_mode{ConvKernelMode::kIm2col};
 
-/// Static-chunk [0, n) over the pool (serial when null/single-threaded).
-/// Every chunked loop below writes disjoint preallocated slots and keeps
-/// each accumulator's term order independent of the partition, so the bits
-/// match the serial path at any thread count (PR 1's pool contract).
+/// Static-chunk [0, n) over the pool (serial when null/single-threaded),
+/// each chunk carrying at least ThreadPool::kMinChunkWork operations given
+/// the per-item cost. Every chunked loop below writes disjoint preallocated
+/// slots and keeps each accumulator's term order independent of the
+/// partition, so the bits match the serial path at any thread count (the
+/// pool's static-chunk contract).
 template <typename ChunkFn>
-void run_chunks(util::ThreadPool* pool, std::size_t n, std::size_t min_grain, ChunkFn&& fn) {
+void run_chunks(util::ThreadPool* pool, std::size_t n, std::size_t work_per_item,
+                ChunkFn&& fn) {
   if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_chunks_grained(n, min_grain, fn);
+    pool->parallel_chunks_work(n, work_per_item, fn);
   } else if (n > 0) {
     fn(std::size_t{0}, n);
   }
@@ -113,7 +117,14 @@ void Conv2D::forward_into(const Matrix& input, Matrix& out, bool training) {
   } else {
     forward_im2col(input, out, training);
   }
-  cached_output_ = out;  // Grad-CAM reads this even at inference
+  // Grad-CAM reads the activation after an inference forward. A training
+  // forward skips the copy and clears the cache (capacity kept), so a stale
+  // map is never served.
+  if (training) {
+    cached_output_.reshape(0, 0);
+  } else {
+    cached_output_ = out;
+  }
 }
 
 void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
@@ -128,7 +139,7 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   Matrix& wt = ws.buffer(layer_id_, 1, ckk, oc_n);
   Matrix& om = ws.buffer(layer_id_, 2, batch * hw, oc_n);
 
-  run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
+  run_chunks(pool, batch, hw * ckk, [&](std::size_t sb, std::size_t se) {
     kernels::im2col_rows(input, in_shape_, k_, pad_, cols, sb, se);
   });
   kernels::transpose_weights(w_, wt);
@@ -136,12 +147,12 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   // with the `a == 0.0` skip on the im2col value — exactly the term sequence
   // (and skip set: padding and in-bounds zeros alike) of the naive kernel,
   // so the doubles are byte-identical. Rows are independent, hence chunkable.
-  run_chunks(pool, batch * hw, /*min_grain=*/32, [&](std::size_t rb, std::size_t re) {
+  run_chunks(pool, batch * hw, ckk * oc_n, [&](std::size_t rb, std::size_t re) {
     kernels::fill_bias_rows(b_, om, rb, re);
     cols.matmul_rows_accumulate(wt, om, rb, re);
   });
   out.reshape(batch, out_shape_.size());
-  run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
+  run_chunks(pool, batch, hw * oc_n, [&](std::size_t sb, std::size_t se) {
     kernels::scatter_channel_major(om, out, oc_n, hw, sb, se);
   });
 
@@ -152,18 +163,18 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   cached_input_ = Matrix();
 }
 
-Matrix Conv2D::backward(const Matrix& grad_output) {
+void Conv2D::backward_into(const Matrix& grad_output, Matrix* grad_input) {
   if (last_mode_ == ConvKernelMode::kNaiveReference) {
     if (cached_input_.empty()) throw std::logic_error("Conv2D::backward before forward");
-    Matrix grad_input(cached_input_.rows(), in_shape_.size());
-    kernels::naive_conv2d_backward(geometry(), w_, cached_input_, grad_output, grad_input,
-                                   dw_, db_);
-    return grad_input;
+    Matrix gi(cached_input_.rows(), in_shape_.size());
+    kernels::naive_conv2d_backward(geometry(), w_, cached_input_, grad_output, gi, dw_, db_);
+    if (grad_input != nullptr) *grad_input = std::move(gi);
+    return;
   }
-  return backward_im2col(grad_output);
+  backward_im2col(grad_output, grad_input);
 }
 
-Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
+void Conv2D::backward_im2col(const Matrix& grad_output, Matrix* grad_input) {
   if (!have_fwd_state_)
     throw std::logic_error("Conv2D::backward before forward (training pass required)");
   if (grad_output.rows() != fwd_batch_ || grad_output.cols() != out_shape_.size())
@@ -179,14 +190,39 @@ Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
 
   Matrix& cols = ws.buffer(layer_id_, 0, batch * hw, w_.cols());  // retained from forward
 
-  // Weight/bias gradient: output channels own disjoint dw rows / db slots,
-  // and within a channel the kernel visits samples-then-positions ascending
-  // (the naive order), so chunking over channels is bit-stable.
-  run_chunks(pool, oc_n, /*min_grain=*/1, [&](std::size_t ob, std::size_t oe) {
-    kernels::conv2d_weight_grad(g, cols, grad_output, dw_, db_, ob, oe);
+  // Weight/bias gradient: dw += grad^T x cols, where grad^T(oc, s*HW + p) =
+  // grad(s, oc, p), formed as a sparse-left product — each nonzero gradient
+  // g adds g * (its full im2col row) to dw row oc. Per dw(oc, col) the terms
+  // arrive k = s*HW + p ascending, the naive sample-then-position visit
+  // order, and the `g == 0.0` skip is the naive skip. The full-width row
+  // also adds the padded window terms the naive kernel leaves out, but each
+  // is g * 0.0 = ±0.0 landing on an accumulator that started at +0.0 (the
+  // optimizer's fill) and so can never be -0.0: adding ±0.0 changes no bit.
+  // db(oc) sums the same nonzero gradients in the same order. Output
+  // channels own disjoint dw rows / db slots, so chunks by channel are
+  // bit-stable.
+  const std::size_t ckk = w_.cols();
+  run_chunks(pool, oc_n, batch * hw * ckk, [&](std::size_t ob, std::size_t oe) {
+    for (std::size_t oc = ob; oc < oe; ++oc) {
+      double* dwrow = &dw_.data()[oc * ckk];
+      double dbv = db_.data()[oc];
+      for (std::size_t s = 0; s < batch; ++s) {
+        const double* grow = &grad_output.data()[s * grad_output.cols() + oc * hw];
+        const double* sample_rows = &cols.data()[s * hw * ckk];
+        for (std::size_t p = 0; p < hw; ++p) {
+          const double gv = grow[p];
+          if (gv == 0.0) continue;
+          dbv += gv;
+          const double* crow = sample_rows + p * ckk;
+          for (std::size_t j = 0; j < ckk; ++j) dwrow[j] += gv * crow[j];
+        }
+      }
+      db_.data()[oc] = dbv;
+    }
   });
 
-  Matrix grad_input(batch, in_shape_.size());
+  if (grad_input == nullptr) return;  // first layer: the input gradient is unused
+  grad_input->reshape(batch, in_shape_.size());
 
   // Input gradient: both routes below produce byte-identical doubles — per
   // target element the terms arrive (oc, source y, source x) ascending with
@@ -200,10 +236,13 @@ Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
   for (double v : grad_output.data()) nonzero += (v != 0.0) ? 1 : 0;
   const bool sparse = nonzero * 4 < grad_output.data().size();  // < 25 % nonzero
   if (sparse) {
-    run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
-      kernels::conv2d_grad_input_scatter(g, w_, grad_output, grad_input, sb, se);
+    const std::size_t in_size = in_shape_.size();
+    run_chunks(pool, batch, hw * oc_n * k2 * ic_n, [&](std::size_t sb, std::size_t se) {
+      std::fill(grad_input->data().begin() + static_cast<std::ptrdiff_t>(sb * in_size),
+                grad_input->data().begin() + static_cast<std::ptrdiff_t>(se * in_size), 0.0);
+      kernels::conv2d_grad_input_scatter(g, w_, grad_output, *grad_input, sb, se);
     });
-    return grad_input;
+    return;
   }
 
   // Dense route — a transposed convolution: im2col the *gradient* over the
@@ -214,17 +253,16 @@ Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
   Matrix& gcols = ws.buffer(layer_id_, 3, batch * hw, oc_n * k2);
   Matrix& w2 = ws.buffer(layer_id_, 4, oc_n * k2, ic_n);
   Matrix& gim = ws.buffer(layer_id_, 5, batch * hw, ic_n);
-  run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
+  run_chunks(pool, batch, hw * oc_n * k2, [&](std::size_t sb, std::size_t se) {
     kernels::im2col_rows(grad_output, out_shape_, k_, pad_, gcols, sb, se);
   });
   kernels::flipped_weights(g, w_, w2);
-  run_chunks(pool, batch * hw, /*min_grain=*/32, [&](std::size_t rb, std::size_t re) {
+  run_chunks(pool, batch * hw, oc_n * k2 * ic_n, [&](std::size_t rb, std::size_t re) {
     gcols.matmul_rows_into(w2, gim, rb, re);
   });
-  run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
-    kernels::scatter_channel_major(gim, grad_input, ic_n, hw, sb, se);
+  run_chunks(pool, batch, hw * ic_n, [&](std::size_t sb, std::size_t se) {
+    kernels::scatter_channel_major(gim, *grad_input, ic_n, hw, sb, se);
   });
-  return grad_input;
 }
 
 std::vector<Param> Conv2D::params() {
@@ -255,45 +293,64 @@ void MaxPool2D::forward_into(const Matrix& input, Matrix& out, bool /*training*/
   if (input.cols() != in_shape_.size())
     throw std::invalid_argument("MaxPool2D::forward: input width mismatch");
   const std::size_t batch = input.rows();
+  const std::size_t in_size = in_shape_.size();
   const std::size_t out_size = out_shape_.size();
+  const std::size_t W = in_shape_.width;
   out.reshape(batch, out_size);
   argmax_.resize(batch * out_size);  // capacity reused; every entry rewritten
   argmax_batch_ = batch;
 
-  for (std::size_t s = 0; s < batch; ++s) {
-    for (std::size_t c = 0; c < out_shape_.channels; ++c) {
-      for (std::size_t y = 0; y < out_shape_.height; ++y) {
-        for (std::size_t x = 0; x < out_shape_.width; ++x) {
-          double best = -std::numeric_limits<double>::infinity();
-          std::size_t best_flat = 0;
-          for (std::size_t dy = 0; dy < 2; ++dy) {
-            for (std::size_t dx = 0; dx < 2; ++dx) {
-              const std::size_t flat = in_shape_.flat(c, 2 * y + dy, 2 * x + dx);
-              const double v = input(s, flat);
-              if (v > best) {
-                best = v;
+  // Samples are independent: chunk by sample. Window candidates are visited
+  // (dy, dx) = (0,0), (0,1), (1,0), (1,1) with a strict `>`, so ties and the
+  // all-NaN fallback (index 0) pick the same input as always.
+  util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
+  run_chunks(pool, batch, in_size, [&](std::size_t sb, std::size_t se) {
+    for (std::size_t s = sb; s < se; ++s) {
+      const double* x = &input.data()[s * in_size];
+      double* y = &out.data()[s * out_size];
+      std::size_t* am = &argmax_[s * out_size];
+      std::size_t o = 0;  // out_shape_.flat(c, oy, ox), visited in order
+      for (std::size_t c = 0; c < out_shape_.channels; ++c) {
+        for (std::size_t oy = 0; oy < out_shape_.height; ++oy) {
+          for (std::size_t ox = 0; ox < out_shape_.width; ++ox, ++o) {
+            const std::size_t top = (c * in_shape_.height + 2 * oy) * W + 2 * ox;
+            const std::size_t window[4] = {top, top + 1, top + W, top + W + 1};
+            double best = -std::numeric_limits<double>::infinity();
+            std::size_t best_flat = 0;
+            for (std::size_t flat : window) {
+              if (x[flat] > best) {
+                best = x[flat];
                 best_flat = flat;
               }
             }
+            y[o] = best;
+            am[o] = best_flat;
           }
-          const std::size_t out_flat = out_shape_.flat(c, y, x);
-          out(s, out_flat) = best;
-          argmax_[s * out_size + out_flat] = best_flat;
         }
       }
     }
-  }
+  });
 }
 
-Matrix MaxPool2D::backward(const Matrix& grad_output) {
+void MaxPool2D::backward_into(const Matrix& grad_output, Matrix* grad_input) {
   if (argmax_batch_ == 0) throw std::logic_error("MaxPool2D::backward before forward");
-  const std::size_t batch = grad_output.rows();
   const std::size_t out_size = out_shape_.size();
-  Matrix grad_input(batch, in_shape_.size());
-  for (std::size_t s = 0; s < batch; ++s)
-    for (std::size_t o = 0; o < out_size; ++o)
-      grad_input(s, argmax_[s * out_size + o]) += grad_output(s, o);
-  return grad_input;
+  if (grad_output.rows() != argmax_batch_ || grad_output.cols() != out_size)
+    throw std::invalid_argument("MaxPool2D::backward: grad shape mismatch");
+  if (grad_input == nullptr) return;  // no parameters to accumulate
+  const std::size_t batch = grad_output.rows();
+  const std::size_t in_size = in_shape_.size();
+  grad_input->reshape(batch, in_size);
+  util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
+  run_chunks(pool, batch, in_size, [&](std::size_t sb, std::size_t se) {
+    for (std::size_t s = sb; s < se; ++s) {
+      const double* g = &grad_output.data()[s * out_size];
+      const std::size_t* am = &argmax_[s * out_size];
+      double* dx = &grad_input->data()[s * in_size];
+      std::fill(dx, dx + in_size, 0.0);
+      for (std::size_t o = 0; o < out_size; ++o) dx[am[o]] += g[o];
+    }
+  });
 }
 
 GlobalAvgPool::GlobalAvgPool(Shape3 input_shape) : in_shape_(input_shape) {
@@ -320,15 +377,15 @@ void GlobalAvgPool::forward_into(const Matrix& input, Matrix& out, bool /*traini
   }
 }
 
-Matrix GlobalAvgPool::backward(const Matrix& grad_output) {
+void GlobalAvgPool::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+  if (grad_input == nullptr) return;  // no parameters to accumulate
   const std::size_t hw = in_shape_.height * in_shape_.width;
-  Matrix grad_input(grad_output.rows(), in_shape_.size());
+  grad_input->reshape(grad_output.rows(), in_shape_.size());  // every element written below
   const double scale = 1.0 / static_cast<double>(hw);
   for (std::size_t s = 0; s < grad_output.rows(); ++s)
     for (std::size_t c = 0; c < in_shape_.channels; ++c)
       for (std::size_t i = 0; i < hw; ++i)
-        grad_input(s, c * hw + i) = grad_output(s, c) * scale;
-  return grad_input;
+        (*grad_input)(s, c * hw + i) = grad_output(s, c) * scale;
 }
 
 }  // namespace crowdlearn::nn

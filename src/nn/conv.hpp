@@ -39,7 +39,7 @@ class Conv2D : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
   void bind_workspace(Workspace* ws, std::size_t layer_id) override;
   std::vector<Param> params() override;
 
@@ -58,8 +58,9 @@ class Conv2D : public Layer {
   Matrix& bias() { return b_; }
 
   /// Activation map of one sample from the most recent forward pass, as a
-  /// Tensor3 — used by the DDM expert's CAM-style heatmap (so it is kept at
-  /// inference too, unlike the backward scratch).
+  /// Tensor3 — used by the DDM expert's CAM-style heatmap. Only inference
+  /// forwards keep it (training forwards skip the copy and clear it), the
+  /// mirror image of the backward scratch.
   Tensor3 last_activation(std::size_t sample) const;
 
   /// Process-wide kernel selector for tests and benchmarks. Not for use
@@ -75,7 +76,7 @@ class Conv2D : public Layer {
   Matrix b_;         // (1, out_c)
   Matrix dw_, db_;
   Matrix cached_input_;   // naive mode only, and only when training
-  Matrix cached_output_;  // Grad-CAM source; kept in every mode
+  Matrix cached_output_;  // Grad-CAM source; inference forwards only
   Workspace* ws_ = nullptr;            ///< not owned; bound by Sequential
   std::unique_ptr<Workspace> own_ws_;  ///< lazy fallback for standalone use
   std::size_t layer_id_ = 0;
@@ -86,7 +87,7 @@ class Conv2D : public Layer {
   kernels::ConvGeometry geometry() const { return {in_shape_, out_shape_, k_, pad_}; }
   Workspace& scratch();
   void forward_im2col(const Matrix& input, Matrix& out, bool training);
-  Matrix backward_im2col(const Matrix& grad_output);
+  void backward_im2col(const Matrix& grad_output, Matrix* grad_input);
 };
 
 /// 2x2 max pooling with stride 2. Requires even spatial dimensions.
@@ -94,9 +95,15 @@ class MaxPool2D : public Layer {
  public:
   explicit MaxPool2D(Shape3 input_shape);
 
+  /// Copies the argmax cache; the workspace binding stays with the original.
+  MaxPool2D(const MaxPool2D& o)
+      : in_shape_(o.in_shape_), out_shape_(o.out_shape_), argmax_(o.argmax_),
+        argmax_batch_(o.argmax_batch_) {}
+
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
 
   std::size_t input_size() const override { return in_shape_.size(); }
   std::size_t output_size() const override { return out_shape_.size(); }
@@ -112,6 +119,7 @@ class MaxPool2D : public Layer {
   // vector (batch * out size) so steady-state forwards never allocate.
   std::vector<std::size_t> argmax_;
   std::size_t argmax_batch_ = 0;
+  Workspace* ws_ = nullptr;  ///< not owned; only consulted for the pool
 };
 
 /// Global average pooling: each channel collapses to its spatial mean.
@@ -122,7 +130,7 @@ class GlobalAvgPool : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
 
   const Shape3& in_shape() const { return in_shape_; }
   std::size_t input_size() const override { return in_shape_.size(); }

@@ -153,51 +153,6 @@ void scatter_channel_major(const Matrix& panel, Matrix& dst, std::size_t channel
   }
 }
 
-void conv2d_weight_grad(const ConvGeometry& g, const Matrix& cols, const Matrix& grad_output,
-                        Matrix& dw, Matrix& db, std::size_t oc_begin, std::size_t oc_end) {
-  const std::size_t H = g.out.height, W = g.out.width;
-  const std::size_t hw = H * W;
-  const std::size_t k = g.k, pad = g.pad;
-  const std::size_t C = g.in.channels;
-  const std::size_t ckk = C * k * k;
-  const std::size_t batch = grad_output.rows();
-  for (std::size_t oc = oc_begin; oc < oc_end; ++oc) {
-    double* dwrow = &dw.data()[oc * ckk];
-    double& dbv = db.data()[oc];
-    // Per (oc, column) target the terms arrive samples-then-positions
-    // ascending — the naive s, y, x visit order — so reordering oc to the
-    // outside (for disjoint parallel chunks) never reorders any one
-    // accumulator's sum.
-    for (std::size_t s = 0; s < batch; ++s) {
-      const double* grow = &grad_output.data()[s * grad_output.cols() + oc * hw];
-      const double* sample_rows = &cols.data()[s * hw * ckk];
-      for (std::size_t y = 0; y < H; ++y) {
-        const std::size_t ky_lo = pad > y ? pad - y : 0;
-        const std::size_t ky_hi = std::min(k, H + pad - y);  // exclusive
-        for (std::size_t x = 0; x < W; ++x) {
-          const double grad = grow[y * W + x];
-          if (grad == 0.0) continue;
-          dbv += grad;
-          const std::size_t kx_lo = pad > x ? pad - x : 0;
-          const std::size_t kx_hi = std::min(k, W + pad - x);
-          const double* crow = sample_rows + (y * W + x) * ckk;
-          // Only in-bounds (ky, kx) columns: the naive kernel adds every
-          // in-bounds product (zeros included) but never touches padding
-          // positions, and dw must match it bit-for-bit — a padded 0.0 term
-          // could still flip a -0.0 accumulator to +0.0.
-          for (std::size_t c = 0; c < C; ++c) {
-            for (std::size_t ky = ky_lo; ky < ky_hi; ++ky) {
-              const std::size_t base = (c * k + ky) * k;
-              for (std::size_t kx = kx_lo; kx < kx_hi; ++kx)
-                dwrow[base + kx] += grad * crow[base + kx];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 void conv2d_grad_input_scatter(const ConvGeometry& g, const Matrix& w,
                                const Matrix& grad_output, Matrix& grad_input,
                                std::size_t sample_begin, std::size_t sample_end) {

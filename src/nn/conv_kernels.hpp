@@ -80,15 +80,6 @@ void fill_bias_rows(const Matrix& b, Matrix& om, std::size_t row_begin, std::siz
 void scatter_channel_major(const Matrix& panel, Matrix& dst, std::size_t channels,
                            std::size_t hw, std::size_t sample_begin, std::size_t sample_end);
 
-/// Weight/bias gradient for output channels [oc_begin, oc_end): for each
-/// nonzero grad g(s, oc, y, x) — samples then positions ascending, exactly
-/// the naive visit order per channel — add g to db(0, oc) and
-/// g * cols-window to the valid (in-bounds) columns of dw row oc. Channel
-/// ranges write disjoint dw rows / db entries, so this chunks across
-/// threads. `cols` is the retained im2col buffer from forward(training).
-void conv2d_weight_grad(const ConvGeometry& g, const Matrix& cols, const Matrix& grad_output,
-                        Matrix& dw, Matrix& db, std::size_t oc_begin, std::size_t oc_end);
-
 /// Input gradient via the naive scatter loop, restricted to grad_input (no
 /// dw/db): for each nonzero grad, scatter g * w over the in-bounds window.
 /// Per target the terms arrive (oc, source y, source x) ascending — the same

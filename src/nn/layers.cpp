@@ -11,16 +11,27 @@ namespace crowdlearn::nn {
 namespace {
 
 /// Static-chunk the row range [0, n) over the workspace pool (serial when
-/// unbound or single-threaded). Rows are independent targets, so any chunk
-/// partition yields the bits the serial loop would.
+/// unbound or single-threaded), each chunk carrying at least
+/// ThreadPool::kMinChunkWork operations given the per-row cost. Rows are
+/// independent targets, so any chunk partition yields the bits the serial
+/// loop would.
 template <typename ChunkFn>
-void run_row_chunks(Workspace* ws, std::size_t n, std::size_t min_grain, ChunkFn&& fn) {
+void run_row_chunks(Workspace* ws, std::size_t n, std::size_t work_per_row, ChunkFn&& fn) {
   util::ThreadPool* pool = ws != nullptr ? ws->pool() : nullptr;
   if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_chunks_grained(n, min_grain, fn);
+    pool->parallel_chunks_work(n, work_per_row, fn);
   } else if (n > 0) {
     fn(std::size_t{0}, n);
   }
+}
+
+/// dst = src^T into a reused buffer (reshaped, capacity kept).
+void transpose_into(const Matrix& src, Matrix& dst) {
+  dst.reshape(src.cols(), src.rows());
+  const double* s = src.data().data();
+  double* d = dst.data().data();
+  for (std::size_t r = 0; r < src.rows(); ++r)
+    for (std::size_t c = 0; c < src.cols(); ++c) d[c * src.rows() + r] = s[r * src.cols() + c];
 }
 
 }  // namespace
@@ -47,18 +58,42 @@ void Dense::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   // Row-parallel GEMM: each output row's dot products are computed whole on
   // one thread, so the sum order (and therefore every bit) matches the
   // serial input.matmul(w_). Bias is added after, as it always was.
-  run_row_chunks(ws_, input.rows(), /*min_grain=*/8,
+  run_row_chunks(ws_, input.rows(), in_ * out_,
                  [&](std::size_t begin, std::size_t end) {
                    input.matmul_rows_into(w_, out, begin, end);
                  });
   out.add_row_broadcast(b_);
 }
 
-Matrix Dense::backward(const Matrix& grad_output) {
+void Dense::backward_into(const Matrix& grad_output, Matrix* grad_input) {
   if (cached_input_.empty()) throw std::logic_error("Dense::backward before forward");
-  dw_ += cached_input_.transpose().matmul(grad_output);
-  db_ += grad_output.column_sums();
-  return grad_output.matmul(w_.transpose());
+  if (grad_output.rows() != cached_input_.rows() || grad_output.cols() != out_)
+    throw std::invalid_argument("Dense::backward: grad shape mismatch");
+  const std::size_t batch = grad_output.rows();
+  // dW += x^T g: the product is formed whole in a panel (each element from
+  // +0.0, ascending over samples, zero-skipping x^T) and only then added to
+  // dW, so the rounding is the same whether or not dW already holds a
+  // gradient. Rows of the panel are independent.
+  transpose_into(cached_input_, input_t_);
+  dw_panel_.reshape(in_, out_);
+  run_row_chunks(ws_, in_, batch * out_, [&](std::size_t rb, std::size_t re) {
+    input_t_.matmul_rows_into(grad_output, dw_panel_, rb, re);
+    for (std::size_t i = rb * out_; i < re * out_; ++i) dw_.data()[i] += dw_panel_.data()[i];
+  });
+  // db += column sums of g: each column summed from 0.0 in ascending rows.
+  const double* g = grad_output.data().data();
+  for (std::size_t c = 0; c < out_; ++c) {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < batch; ++r) sum += g[r * out_ + c];
+    db_.data()[c] += sum;
+  }
+  if (grad_input == nullptr) return;
+  // dX = g W^T, row-chunked like the forward GEMM.
+  transpose_into(w_, w_t_);
+  grad_input->reshape(batch, in_);
+  run_row_chunks(ws_, batch, out_ * in_, [&](std::size_t rb, std::size_t re) {
+    grad_output.matmul_rows_into(w_t_, *grad_input, rb, re);
+  });
 }
 
 std::vector<Param> Dense::params() {
@@ -72,20 +107,37 @@ Matrix ReLU::forward(const Matrix& input, bool training) {
 }
 
 void ReLU::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
-  cached_input_ = input;
-  out.reshape(input.rows(), input.cols());
-  for (std::size_t i = 0; i < input.data().size(); ++i) {
-    const double v = input.data()[i];
-    out.data()[i] = v > 0.0 ? v : 0.0;
-  }
+  const std::size_t cols = input.cols();
+  cached_input_.reshape(input.rows(), cols);
+  out.reshape(input.rows(), cols);
+  const double* x = input.data().data();
+  double* cache = cached_input_.data().data();
+  double* y = out.data().data();
+  run_row_chunks(ws_, input.rows(), cols,
+                 [&](std::size_t rb, std::size_t re) {
+                   for (std::size_t i = rb * cols; i < re * cols; ++i) {
+                     const double v = x[i];
+                     cache[i] = v;
+                     y[i] = v > 0.0 ? v : 0.0;
+                   }
+                 });
 }
 
-Matrix ReLU::backward(const Matrix& grad_output) {
+void ReLU::backward_into(const Matrix& grad_output, Matrix* grad_input) {
   if (cached_input_.empty()) throw std::logic_error("ReLU::backward before forward");
-  Matrix grad = grad_output;
-  for (std::size_t i = 0; i < grad.data().size(); ++i)
-    if (cached_input_.data()[i] <= 0.0) grad.data()[i] = 0.0;
-  return grad;
+  if (grad_output.rows() != cached_input_.rows() || grad_output.cols() != cached_input_.cols())
+    throw std::invalid_argument("ReLU::backward: grad shape mismatch");
+  if (grad_input == nullptr) return;  // no parameters to accumulate
+  const std::size_t cols = grad_output.cols();
+  grad_input->reshape(grad_output.rows(), cols);
+  const double* g = grad_output.data().data();
+  const double* x = cached_input_.data().data();
+  double* dx = grad_input->data().data();
+  run_row_chunks(ws_, grad_output.rows(), cols,
+                 [&](std::size_t rb, std::size_t re) {
+                   for (std::size_t i = rb * cols; i < re * cols; ++i)
+                     dx[i] = x[i] <= 0.0 ? 0.0 : g[i];
+                 });
 }
 
 Matrix Tanh::forward(const Matrix& input, bool training) {
@@ -101,14 +153,14 @@ void Tanh::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   cached_output_ = out;
 }
 
-Matrix Tanh::backward(const Matrix& grad_output) {
+void Tanh::backward_into(const Matrix& grad_output, Matrix* grad_input) {
   if (cached_output_.empty()) throw std::logic_error("Tanh::backward before forward");
-  Matrix grad = grad_output;
-  for (std::size_t i = 0; i < grad.data().size(); ++i) {
+  if (grad_input == nullptr) return;  // no parameters to accumulate
+  *grad_input = grad_output;
+  for (std::size_t i = 0; i < grad_input->data().size(); ++i) {
     const double y = cached_output_.data()[i];
-    grad.data()[i] *= (1.0 - y * y);
+    grad_input->data()[i] *= (1.0 - y * y);
   }
-  return grad;
 }
 
 Dropout::Dropout(std::size_t size, double rate, Rng& rng)
@@ -140,10 +192,13 @@ void Dropout::forward_into(const Matrix& input, Matrix& out, bool training) {
   }
 }
 
-Matrix Dropout::backward(const Matrix& grad_output) {
-  if (!last_training_ || rate_ == 0.0) return grad_output;
+void Dropout::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+  if (!last_training_ || rate_ == 0.0) {
+    if (grad_input != nullptr) *grad_input = grad_output;
+    return;
+  }
   if (mask_.empty()) throw std::logic_error("Dropout::backward before forward");
-  return grad_output.hadamard(mask_);
+  if (grad_input != nullptr) *grad_input = grad_output.hadamard(mask_);
 }
 
 }  // namespace crowdlearn::nn

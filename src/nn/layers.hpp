@@ -50,8 +50,18 @@ class Layer {
   virtual void bind_workspace(Workspace* /*ws*/, std::size_t /*layer_id*/) {}
 
   /// Backpropagate: given dL/d(output), accumulate parameter gradients and
-  /// return dL/d(input).
-  virtual Matrix backward(const Matrix& grad_output) = 0;
+  /// write dL/d(input) into `*grad_input` (reshaped; capacity reused). A
+  /// null `grad_input` means the caller discards the input gradient (the
+  /// first layer of Sequential::backward_ws), so the layer may skip
+  /// computing it. `grad_input` must not alias `grad_output`.
+  virtual void backward_into(const Matrix& grad_output, Matrix* grad_input) = 0;
+
+  /// backward_into() into a fresh Matrix: returns dL/d(input).
+  Matrix backward(const Matrix& grad_output) {
+    Matrix grad_input;
+    backward_into(grad_output, &grad_input);
+    return grad_input;
+  }
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
@@ -69,8 +79,9 @@ class Layer {
 class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Rng& rng);
-  /// Copies learned state; the workspace binding stays with the original
-  /// (Sequential::clone rebinds its copies to the clone's workspace).
+  /// Copies learned state; the workspace binding and the backward scratch
+  /// stay with the original (Sequential::clone rebinds its copies to the
+  /// clone's workspace).
   Dense(const Dense& o)
       : in_(o.in_), out_(o.out_), w_(o.w_), b_(o.b_), dw_(o.dw_), db_(o.db_),
         cached_input_(o.cached_input_) {}
@@ -78,7 +89,7 @@ class Dense : public Layer {
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
-  Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
   std::vector<Param> params() override;
   std::size_t input_size() const override { return in_; }
   std::size_t output_size() const override { return out_; }
@@ -95,6 +106,8 @@ class Dense : public Layer {
   Matrix w_, b_;
   Matrix dw_, db_;
   Matrix cached_input_;
+  // Backward scratch, reused across steps: input^T, the dW panel and W^T.
+  Matrix input_t_, dw_panel_, w_t_;
   Workspace* ws_ = nullptr;  ///< not owned; only consulted for the pool
 };
 
@@ -102,10 +115,14 @@ class Dense : public Layer {
 class ReLU : public Layer {
  public:
   explicit ReLU(std::size_t size) : size_(size) {}
+  /// Copies the activation cache; the workspace binding stays with the
+  /// original.
+  ReLU(const ReLU& o) : size_(o.size_), cached_input_(o.cached_input_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "ReLU"; }
@@ -114,6 +131,7 @@ class ReLU : public Layer {
  private:
   std::size_t size_;
   Matrix cached_input_;
+  Workspace* ws_ = nullptr;  ///< not owned; only consulted for the pool
 };
 
 /// Hyperbolic tangent.
@@ -123,7 +141,7 @@ class Tanh : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "Tanh"; }
@@ -142,7 +160,7 @@ class Dropout : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "Dropout"; }

@@ -43,6 +43,19 @@ const Matrix& Sequential::forward_ws(const Matrix& input, bool training) {
   return *cur;
 }
 
+void Sequential::backward_ws(const Matrix& grad_logits) {
+  if (layers_.empty()) throw std::logic_error("Sequential: empty model");
+  const Matrix* grad = &grad_logits;
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    // Layer i writes slot i % 2 and reads slot (i + 1) % 2 (or the logits
+    // gradient), so input and output never alias.
+    Matrix& grad_input = ws_->gradient(i % 2);
+    layers_[i]->backward_into(*grad, &grad_input);
+    grad = &grad_input;
+  }
+  layers_.front()->backward_into(*grad, nullptr);
+}
+
 Matrix Sequential::predict_proba(const Matrix& input) {
   return softmax(forward_ws(input, /*training=*/false));
 }
@@ -122,8 +135,7 @@ std::vector<EpochStats> Sequential::fit_impl(const Matrix& x, std::size_t n,
         ++seen;
       }
 
-      Matrix grad = loss.grad_logits;
-      for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = (*it)->backward(grad);
+      backward_ws(loss.grad_logits);
       opt->step();
     }
     history.push_back({loss_sum / static_cast<double>(batches),

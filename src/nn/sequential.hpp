@@ -62,6 +62,14 @@ class Sequential {
   /// model. Bit-identical to forward().
   const Matrix& forward_ws(const Matrix& input, bool training);
 
+  /// Allocation-free backward through every layer, last to first, given
+  /// dL/d(logits) for the batch of the latest forward_ws(training=true).
+  /// Input gradients ping-pong through the workspace's gradient buffers;
+  /// the first layer's input gradient is never computed (nothing reads it).
+  /// Parameter gradients accumulate into the layers' grads, bit-identical to
+  /// chaining Layer::backward.
+  void backward_ws(const Matrix& grad_logits);
+
   /// Attach a thread pool (nullptr = serial) that the layer kernels chunk
   /// their batch loops over, under the util::ThreadPool determinism
   /// contract — outputs are byte-identical at any thread count. The pool

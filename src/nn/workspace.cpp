@@ -34,4 +34,9 @@ Matrix& Workspace::activation(std::size_t slot) {
   return activations_[slot];
 }
 
+Matrix& Workspace::gradient(std::size_t slot) {
+  if (slot >= 2) throw std::invalid_argument("Workspace::gradient: slot out of range");
+  return gradients_[slot];
+}
+
 }  // namespace crowdlearn::nn

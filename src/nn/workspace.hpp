@@ -40,6 +40,10 @@ class Workspace {
   /// Shaped by the layer writing into them, not here.
   Matrix& activation(std::size_t slot);
 
+  /// Ping-pong input-gradient buffers for Sequential::backward_ws (slot
+  /// 0/1), shaped by the layer writing into them.
+  Matrix& gradient(std::size_t slot);
+
   /// Pool the kernels chunk batch loops over; nullptr = serial. Not owned.
   util::ThreadPool* pool() const { return pool_; }
   void set_pool(util::ThreadPool* p) { pool_ = p; }
@@ -55,6 +59,7 @@ class Workspace {
   // unique_ptr anchors each Matrix so references survive registry growth.
   std::vector<std::pair<std::uint64_t, std::unique_ptr<Matrix>>> buffers_;
   Matrix activations_[2];
+  Matrix gradients_[2];
   util::ThreadPool* pool_ = nullptr;
   std::size_t grow_count_ = 0;
 };

@@ -93,7 +93,16 @@ void BatchCoalescer::dispatch_lane(const std::string& tenant) {
         // quiescence — so flush() can wake and re-sweep requests that
         // arrived after its last sweep (they have no other trigger when the
         // linger timer is disabled).
-        if (lane.fifo.empty()) lane.flush_requested = false;
+        //
+        // A lane retired non-empty re-enters the linger thread's deadline
+        // scan, which skipped it while it was active and may since have
+        // parked with no deadline at all: wake it, or the remainder waits
+        // for some other lane's submit.
+        if (lane.fifo.empty()) {
+          lane.flush_requested = false;
+        } else {
+          linger_cv_.notify_all();
+        }
         lane.active = false;
         if (--active_dispatches_ == 0) idle_cv_.notify_all();
         return;

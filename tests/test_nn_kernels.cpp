@@ -9,8 +9,9 @@
 //      pinned: both paths drop 0 * x terms identically (including -0.0 and
 //      x = inf), which is only sound under the finite-input contract that
 //      Matrix::debug_check_finite enforces in debug builds.
-//   3. Steady-state forwards through a Sequential allocate nothing: all
-//      scratch lives in the model's nn::Workspace and is reused.
+//   3. Steady-state forwards and training passes (forward_ws + backward_ws)
+//      through a Sequential allocate nothing: all scratch lives in the
+//      model's nn::Workspace or the layers and is reused.
 
 #include <gtest/gtest.h>
 
@@ -189,6 +190,157 @@ TEST(NnKernels, RepeatedTrainStepsStayBitwiseEquivalent) {
   }
 }
 
+/// Gradient with ~`zero_frac` exact zeros, plus one all-+0.0 sample row and
+/// one sample row of mixed ±0.0 (when batch allows): the weight gradient's
+/// padded ±0.0 terms and the zero skip must leave every bit as the naive
+/// kernel does.
+Matrix gradient_with_zero_rows(std::size_t batch, std::size_t cols, double zero_frac,
+                               Rng& rng) {
+  Matrix g = random_matrix(batch, cols, rng);
+  for (double& v : g.data())
+    if (rng.uniform(0.0, 1.0) < zero_frac) v = (rng.uniform(0.0, 1.0) < 0.5) ? 0.0 : -0.0;
+  if (batch >= 2)
+    for (std::size_t c = 0; c < cols; ++c) g(0, c) = 0.0;
+  if (batch >= 3)
+    for (std::size_t c = 0; c < cols; ++c) g(2, c) = (c % 2 == 0) ? -0.0 : 0.0;
+  return g;
+}
+
+TEST(NnKernels, WeightGradMatchesNaiveAtEveryKernelSize) {
+  // k in {1,3,5,7}; sparse gradients (the scatter input-gradient route) and
+  // dense ones (the GEMM route); all-zero and ±0.0 sample rows; 1/2/8
+  // threads. dw, db and grad_input must equal the naive kernel bitwise.
+  KernelModeGuard guard;
+  const ConvCase cases[] = {
+      {{1, 5, 5}, 3, 1}, {{2, 6, 6}, 4, 3}, {{3, 7, 7}, 2, 5}, {{2, 9, 9}, 3, 7}};
+  for (const ConvCase& cs : cases) {
+    for (double zero_frac : {0.9, 0.2}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        Rng rng(300 + cs.kernel * 10 + threads);
+        Conv2D naive(cs.in, cs.out_channels, cs.kernel, rng);
+        Conv2D im2col(naive);
+        const Matrix x = sparse_matrix(4, cs.in.size(), rng);
+        const Matrix g = gradient_with_zero_rows(4, naive.output_size(), zero_frac, rng);
+
+        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
+        naive.forward(x, true);
+        zero_grads(naive);
+        const Matrix ref_gx = naive.backward(g);
+
+        util::ThreadPool pool(threads);
+        Workspace ws;
+        ws.set_pool(&pool);
+        im2col.bind_workspace(&ws, 0);
+        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+        im2col.forward(x, true);
+        zero_grads(im2col);
+        const Matrix got_gx = im2col.backward(g);
+
+        expect_bitwise_eq(ref_gx, got_gx, "grad_input");
+        const std::vector<Param> pr = naive.params();
+        const std::vector<Param> pi = im2col.params();
+        for (std::size_t p = 0; p < pr.size(); ++p)
+          expect_bitwise_eq(*pr[p].grad, *pi[p].grad, pr[p].name.c_str());
+      }
+    }
+  }
+}
+
+TEST(NnKernels, ParamsOnlyBackwardMatchesFullBackward) {
+  // Sequential::backward_ws skips the first layer's input gradient; the
+  // parameter gradients it accumulates must be the full backward's bits.
+  KernelModeGuard guard;
+  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Rng rng(400 + threads);
+    Conv2D full({2, 6, 6}, 3, 3, rng);
+    Conv2D params_only(full);
+    Dense dense_full(12, 5, rng);
+    Dense dense_params_only(dense_full);
+    util::ThreadPool pool(threads);
+    Workspace ws_a, ws_b;
+    ws_a.set_pool(&pool);
+    ws_b.set_pool(&pool);
+    full.bind_workspace(&ws_a, 0);
+    params_only.bind_workspace(&ws_b, 0);
+    dense_full.bind_workspace(&ws_a, 1);
+    dense_params_only.bind_workspace(&ws_b, 1);
+
+    for (int step = 0; step < 3; ++step) {
+      const Matrix x = sparse_matrix(5, full.input_size(), rng);
+      const Matrix g = gradient_with_zero_rows(5, full.output_size(), 0.8, rng);
+      full.forward(x, true);
+      params_only.forward(x, true);
+      full.backward(g);
+      params_only.backward_into(g, nullptr);
+
+      const Matrix xd = sparse_matrix(5, 12, rng);
+      const Matrix gd = random_matrix(5, 5, rng);
+      dense_full.forward(xd, true);
+      dense_params_only.forward(xd, true);
+      dense_full.backward(gd);
+      dense_params_only.backward_into(gd, nullptr);
+    }
+    const std::vector<Param> a = full.params();
+    const std::vector<Param> b = params_only.params();
+    for (std::size_t p = 0; p < a.size(); ++p)
+      expect_bitwise_eq(*a[p].grad, *b[p].grad, a[p].name.c_str());
+    const std::vector<Param> da = dense_full.params();
+    const std::vector<Param> db = dense_params_only.params();
+    for (std::size_t p = 0; p < da.size(); ++p)
+      expect_bitwise_eq(*da[p].grad, *db[p].grad, da[p].name.c_str());
+  }
+}
+
+TEST(NnKernels, ReluAndMaxPoolBackwardIntoMatchBackward) {
+  // backward_into writes through raw row pointers into a reused buffer
+  // (here one left at a different shape by an earlier call), chunked by
+  // sample over the pool; it must equal backward() and the element-wise
+  // definition: ReLU passes g where x > 0, MaxPool routes g to each
+  // window's first maximum.
+  const Shape3 shape{3, 6, 6};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    Rng rng(500 + threads);
+    util::ThreadPool pool(threads);
+    Workspace ws;
+    ws.set_pool(&pool);
+    const Matrix x = sparse_matrix(7, shape.size(), rng);
+    Matrix reused(2, 3, 1.0);
+
+    ReLU relu(shape.size());
+    relu.bind_workspace(&ws, 0);
+    relu.forward(x, true);
+    const Matrix g = gradient_with_zero_rows(7, shape.size(), 0.3, rng);
+    Matrix want(7, shape.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      want.data()[i] = x.data()[i] <= 0.0 ? 0.0 : g.data()[i];
+    relu.backward_into(g, &reused);
+    expect_bitwise_eq(want, reused, "ReLU backward_into");
+    expect_bitwise_eq(want, relu.backward(g), "ReLU backward");
+
+    MaxPool2D pool2d(shape);
+    pool2d.bind_workspace(&ws, 1);
+    pool2d.forward(x, true);
+    const Matrix gp = gradient_with_zero_rows(7, pool2d.output_size(), 0.3, rng);
+    Matrix want_p(7, shape.size());
+    for (std::size_t s = 0; s < 7; ++s)
+      for (std::size_t c = 0; c < shape.channels; ++c)
+        for (std::size_t y = 0; y < 3; ++y)
+          for (std::size_t xx = 0; xx < 3; ++xx) {
+            std::size_t best = shape.flat(c, 2 * y, 2 * xx);
+            for (std::size_t dy = 0; dy < 2; ++dy)
+              for (std::size_t dx = 0; dx < 2; ++dx) {
+                const std::size_t f = shape.flat(c, 2 * y + dy, 2 * xx + dx);
+                if (x(s, f) > x(s, best)) best = f;
+              }
+            want_p(s, best) += gp(s, (c * 3 + y) * 3 + xx);
+          }
+    pool2d.backward_into(gp, &reused);
+    expect_bitwise_eq(want_p, reused, "MaxPool2D backward_into");
+    expect_bitwise_eq(want_p, pool2d.backward(gp), "MaxPool2D backward");
+  }
+}
+
 // --- Zero-skip semantics ---------------------------------------------------
 
 TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
@@ -308,6 +460,60 @@ TEST(NnKernels, SteadyStateForwardIsAllocationFree) {
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->rows(), 6u);
   EXPECT_EQ(last->cols(), 3u);
+}
+
+TEST(NnKernels, SteadyStateTrainingPassIsAllocationFree) {
+  // A training forward plus backward_ws — the per-step work of
+  // Sequential::fit minus batch assembly and the loss — reuses the
+  // workspace's activation and gradient buffers and the layers' scratch.
+  KernelModeGuard guard;
+  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  Rng rng(20);
+  Sequential model = make_small_cnn(rng);
+  const Matrix x = random_matrix(6, model.input_size(), rng);
+  const Matrix g = random_matrix(6, model.output_size(), rng);
+
+  for (int i = 0; i < 3; ++i) {
+    model.forward_ws(x, true);
+    model.backward_ws(g);
+  }
+  const std::size_t grown = model.workspace().grow_count();
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 5; ++i) {
+    model.forward_ws(x, true);
+    model.backward_ws(g);
+  }
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u) << "steady-state training pass allocated";
+  EXPECT_EQ(model.workspace().grow_count(), grown) << "workspace kept growing";
+}
+
+TEST(NnKernels, BackwardWsMatchesChainedBackwardBitwise) {
+  // backward_ws (ping-pong gradient buffers, first layer params-only) must
+  // accumulate the parameter gradients that chaining Layer::backward does.
+  // The second, smaller step reuses buffers still holding the first step's
+  // gradients.
+  KernelModeGuard guard;
+  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  Rng rng(21);
+  Sequential a = make_small_cnn(rng);
+  Sequential b = a.clone();
+  for (std::size_t batch : {std::size_t{4}, std::size_t{3}}) {
+    const Matrix x = random_matrix(batch, a.input_size(), rng);
+    const Matrix g = random_matrix(batch, a.output_size(), rng);
+    a.forward_ws(x, true);
+    a.backward_ws(g);
+    b.forward(x, true);
+    Matrix grad = g;
+    for (std::size_t i = b.num_layers(); i-- > 0;) grad = b.layer(i).backward(grad);
+  }
+  const std::vector<Param> pa = a.params();
+  const std::vector<Param> pb = b.params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t p = 0; p < pa.size(); ++p)
+    expect_bitwise_eq(*pa[p].grad, *pb[p].grad, pa[p].name.c_str());
 }
 
 TEST(NnKernels, WorkspaceGrowCountStabilizesAcrossBatchSizes) {

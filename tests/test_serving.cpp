@@ -256,6 +256,44 @@ TEST(ServingCoalescer, LingerDispatchesPartialBatchWithoutFlush) {
   EXPECT_EQ(fut.get(), want);
 }
 
+TEST(ServingCoalescer, ThresholdCutRemainderDispatchesOnLingerWithoutFlush) {
+  // A 64 + k burst on one lane: the threshold cut dispatches 64 images and
+  // leaves a k-image remainder. The first batch is held (via the batch
+  // observer) past the linger deadline, so the linger thread has already
+  // skipped the active lane and parked without a deadline. Retiring the
+  // lane with its remainder must wake it: every future is ready within a
+  // small multiple of max_linger after the first batch, with no flush().
+  TempDir root("serve_linger_remainder");
+  auto mgr = make_manager(root, {"quito"}, 2);
+  constexpr std::size_t kBurst = 64 + 5;
+  std::vector<std::vector<std::size_t>> requests;
+  for (std::size_t i = 0; i < kBurst; ++i) requests.push_back({(i * 7) % 120});
+  std::vector<std::vector<std::size_t>> want;
+  for (const auto& ids : requests) want.push_back(mgr->classify("quito", ids));
+
+  BatchCoalescerConfig cfg;
+  cfg.max_batch_images = 64;
+  cfg.max_linger = std::chrono::milliseconds{20};
+  BatchCoalescer coalescer(*mgr, cfg);
+  std::atomic<int> batches{0};
+  coalescer.set_batch_observer([&](const std::string&, std::size_t, std::size_t) {
+    if (batches.fetch_add(1) == 0) std::this_thread::sleep_for(5 * cfg.max_linger);
+  });
+  std::vector<std::future<std::vector<std::size_t>>> futures;
+  for (const auto& ids : requests) futures.push_back(coalescer.submit_classify("quito", ids));
+
+  ASSERT_EQ(futures.front().wait_for(std::chrono::seconds(30)), std::future_status::ready)
+      << "the threshold batch never dispatched";
+  const auto first_ready = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_until(first_ready + 25 * cfg.max_linger),
+              std::future_status::ready)
+        << "request " << i << " of the sub-threshold remainder was never dispatched";
+    EXPECT_EQ(futures[i].get(), want[i]) << "request " << i;
+  }
+  EXPECT_GE(batches.load(), 2);
+}
+
 // --- ServiceQueue routing ---------------------------------------------------
 
 TEST(ServingQueue, ClassifyRoutesThroughCoalescerAndDrainFlushes) {

@@ -2,9 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -110,6 +118,31 @@ TEST(ThreadPool, ParallelChunksAreContiguousAndOrdered) {
   EXPECT_EQ(expect_begin, 10u);
 }
 
+TEST(ThreadPool, WorkGrainKeepsSmallRangesInOneInlineChunk) {
+  // parallel_chunks_work: a range carrying less than kMinChunkWork runs as
+  // one chunk on the caller; enough work per item splits it per worker.
+  ThreadPool pool(4);
+  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+  std::mutex m;
+  auto record = [&](std::size_t begin, std::size_t end) {
+    std::lock_guard<std::mutex> lock(m);
+    bounds.emplace_back(begin, end);
+  };
+  pool.parallel_chunks_work(8, /*work_per_item=*/1, record);
+  ASSERT_EQ(bounds.size(), 1u);
+  EXPECT_EQ(bounds[0], std::make_pair(std::size_t{0}, std::size_t{8}));
+  bounds.clear();
+  pool.parallel_chunks_work(8, ThreadPool::kMinChunkWork, record);
+  EXPECT_EQ(bounds.size(), 4u);
+  bounds.clear();
+  // Half the threshold per item: two items per chunk, four chunks.
+  pool.parallel_chunks_work(8, ThreadPool::kMinChunkWork / 2, record);
+  EXPECT_EQ(bounds.size(), 4u);
+  bounds.clear();
+  pool.parallel_chunks_work(3, ThreadPool::kMinChunkWork / 2, record);
+  EXPECT_EQ(bounds.size(), 1u);
+}
+
 TEST(ThreadPool, ReusableAcrossManyWaves) {
   ThreadPool pool(4);
   for (int wave = 0; wave < 50; ++wave) {
@@ -119,15 +152,129 @@ TEST(ThreadPool, ReusableAcrossManyWaves) {
   }
 }
 
-TEST(ThreadPool, NestedParallelismRunsInlineInsteadOfDeadlocking) {
+TEST(ThreadPool, NestedParallelismOnABusyPoolCompletesWithoutDeadlock) {
+  // Every worker is busy running an outer chunk when the inner sections
+  // start, so their helpers can only queue behind the outer work: each
+  // caller must claim its own chunks instead of waiting for a free worker.
   ThreadPool pool(2);
   std::atomic<int> inner_calls{0};
   pool.parallel_for(4, [&](std::size_t) {
-    // A parallel section reached from inside a task must not re-enqueue onto
-    // the same (possibly fully busy) pool.
     pool.parallel_for(8, [&](std::size_t) { inner_calls.fetch_add(1); });
   });
   EXPECT_EQ(inner_calls.load(), 32);
+}
+
+/// Fail (and end the process, so a deadlocked pool cannot hang the suite)
+/// unless `fut` is ready within `limit`.
+template <typename T>
+void expect_ready_or_die(std::future<T>& fut, std::chrono::seconds limit, const char* what) {
+  if (fut.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << what;
+    std::fprintf(stderr, "watchdog: %s\n", what);
+    std::_Exit(1);
+  }
+}
+
+TEST(ThreadPool, NestedParallelForReachesIdleWorkers) {
+  // A parallel section started from inside a task spreads over idle
+  // workers. Each chunk waits (bounded) until two distinct threads have
+  // entered the section, so a join that kept the chunks on the calling
+  // worker fails instead of passing by luck.
+  ThreadPool pool(4);
+  std::mutex m;
+  std::condition_variable cv;
+  std::set<std::thread::id> threads;
+  auto outer = pool.submit([&] {
+    pool.parallel_for(4, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(m);
+      threads.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return threads.size() >= 2; });
+    });
+  });
+  expect_ready_or_die(outer, std::chrono::seconds(60), "nested parallel_for never finished");
+  outer.get();
+  std::lock_guard<std::mutex> lock(m);
+  EXPECT_GE(threads.size(), 2u) << "nested chunks never left the calling worker";
+}
+
+TEST(ThreadPool, JoiningCallerNeverRunsForeignTasks) {
+  // The deadlock a help-with-anything join would hit: an outer task holds a
+  // non-recursive mutex, a foreign task that needs the same mutex is queued
+  // behind it, and the outer task then joins a nested parallel_for. A
+  // caller that ran the foreign task while joining would lock the mutex it
+  // already holds. The join only ever runs chunks of its own call.
+  ThreadPool pool(2);
+  std::mutex serial;  // stands in for a tenant's serial lock
+  std::atomic<bool> blocker_running{false};
+  std::atomic<bool> serial_held{false};
+  std::atomic<bool> foreign_queued{false};
+  std::atomic<bool> release_blocker{false};
+  std::atomic<int> chunks_run{0};
+  auto wait_for_flag = [](const std::atomic<bool>& flag) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  // Occupy the second worker so the foreign task stays queued while the
+  // outer task joins.
+  auto blocker = pool.submit([&] {
+    blocker_running.store(true);
+    wait_for_flag(release_blocker);
+  });
+  auto outer = pool.submit([&] {
+    std::lock_guard<std::mutex> hold(serial);
+    serial_held.store(true);
+    wait_for_flag(foreign_queued);
+    pool.parallel_for(64, [&](std::size_t) {
+      chunks_run.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    release_blocker.store(true);
+  });
+  // Queued from outside the pool (a worker's own submit() runs inline), once
+  // both workers are busy and the outer task holds the lock.
+  wait_for_flag(blocker_running);
+  wait_for_flag(serial_held);
+  auto foreign = pool.submit([&] { std::lock_guard<std::mutex> lock(serial); });
+  foreign_queued.store(true);
+  expect_ready_or_die(outer, std::chrono::seconds(60), "joining caller deadlocked");
+  outer.get();
+  expect_ready_or_die(blocker, std::chrono::seconds(60), "blocker never finished");
+  expect_ready_or_die(foreign, std::chrono::seconds(60), "foreign task never ran");
+  foreign.get();
+  EXPECT_EQ(chunks_run.load(), 64);
+}
+
+TEST(ThreadPool, NestedChunkExceptionsRethrowFirstInChunkOrder) {
+  // Chunks of a nested section fail in reverse chunk order in time (the
+  // later chunk throws first); the join must still rethrow chunk 0's error,
+  // and only after every chunk has finished. The outer task catches it
+  // itself and reports what it caught, so every exception object lives and
+  // dies inside the pool's join.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  auto outer = pool.submit([&]() -> std::string {
+    try {
+      pool.parallel_chunks(4, [&](std::size_t begin, std::size_t) {
+        if (begin == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          finished.fetch_add(1);
+          throw std::runtime_error("chunk 0");
+        }
+        finished.fetch_add(1);
+        throw std::logic_error("chunk " + std::to_string(begin));
+      });
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    } catch (const std::exception& e) {
+      return std::string("a later chunk's exception: ") + e.what();
+    }
+    return "nested chunk exceptions were swallowed";
+  });
+  expect_ready_or_die(outer, std::chrono::seconds(60), "nested join never finished");
+  EXPECT_EQ(outer.get(), "chunk 0");
+  EXPECT_EQ(finished.load(), 4);
 }
 
 TEST(ThreadPool, ResolveThreadCountPrefersExplicitRequest) {
