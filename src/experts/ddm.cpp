@@ -84,62 +84,58 @@ nn::Tensor3 DdmClassifier::damage_heatmap(const dataset::DisasterImage& image,
   if (!trained()) throw std::logic_error("DdmClassifier::damage_heatmap before train");
   if (cls >= dataset::kNumSeverityClasses)
     throw std::out_of_range("DdmClassifier::damage_heatmap: bad class");
-
-  // Forward pass to populate the layer caches for this image.
   nn::Matrix x(1, model_.input_size());
   x.set_row(0, encode(image));
-  model_.forward(x, /*training=*/false);
+  model_.forward_ws(x, /*training=*/false);
+  return grad_cam(cls);
+}
 
-  auto& conv = dynamic_cast<nn::Conv2D&>(model_.layer(conv2_index_));
-  const nn::Tensor3 act = conv.last_activation(0);
-  const auto& sh = act.shape();
+nn::Tensor3 DdmClassifier::grad_cam(std::size_t cls) {
+  const auto& conv = dynamic_cast<const nn::Conv2D&>(model_.layer(conv2_index_));
+  const nn::Shape3& sh = conv.out_shape();
+  const std::size_t hw = sh.height * sh.width;
+  const double* act = conv.last_activations().data().data();  // sample 0
 
-  // Backpropagate the class score through every layer above conv2 to get
-  // d(score_cls) / d(conv2 output).
-  nn::Matrix grad(1, dataset::kNumSeverityClasses);
-  grad(0, cls) = 1.0;
-  for (std::size_t i = model_.num_layers(); i-- > conv2_index_ + 1;)
-    grad = model_.layer(i).backward(grad);
-
-  // This backward pass accumulated parameter gradients as a side effect;
-  // clear them so a later retrain step is not corrupted.
-  for (nn::Param& p : model_.params()) p.grad->fill(0.0);
+  // d(score_cls) / d(conv2 output): input gradients through every layer
+  // above conv2, from the caches the forward left.
+  nn::Matrix onehot(1, dataset::kNumSeverityClasses);
+  onehot(0, cls) = 1.0;
+  const double* grad = model_.input_gradient_ws(onehot, conv2_index_ + 1).data().data();
 
   // Grad-CAM: alpha_ch = spatial mean of the gradient; map = relu(sum alpha*A).
-  const std::size_t hw = sh.height * sh.width;
-  std::vector<double> alpha(sh.channels, 0.0);
-  for (std::size_t c = 0; c < sh.channels; ++c) {
-    for (std::size_t i = 0; i < hw; ++i) alpha[c] += grad(0, c * hw + i);
-    alpha[c] /= static_cast<double>(hw);
-  }
-
+  // Each cell sums its channels in ascending order from 0.0.
   nn::Tensor3 cam(nn::Shape3{1, sh.height, sh.width});
-  for (std::size_t y = 0; y < sh.height; ++y) {
-    for (std::size_t xx = 0; xx < sh.width; ++xx) {
-      double v = 0.0;
-      for (std::size_t c = 0; c < sh.channels; ++c) v += alpha[c] * act.at(c, y, xx);
-      cam.at(0, y, xx) = std::max(v, 0.0);
-    }
+  double* map = cam.data().data();
+  for (std::size_t c = 0; c < sh.channels; ++c) {
+    const double* gc = grad + c * hw;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < hw; ++i) sum += gc[i];
+    const double alpha = sum / static_cast<double>(hw);
+    const double* ac = act + c * hw;
+    for (std::size_t i = 0; i < hw; ++i) map[i] += alpha * ac[i];
   }
+  for (std::size_t i = 0; i < hw; ++i) map[i] = std::max(map[i], 0.0);
   return cam;
 }
 
 double DdmClassifier::activated_fraction(const nn::Tensor3& heatmap) const {
-  const auto& data = heatmap.data();
-  if (data.empty()) throw std::invalid_argument("activated_fraction: empty heatmap");
-  const double peak = *std::max_element(data.begin(), data.end());
+  const double* data = heatmap.data().data();
+  const std::size_t n = heatmap.size();
+  if (n == 0) throw std::invalid_argument("activated_fraction: empty heatmap");
+  double peak = data[0];  // the first maximum, as std::max_element picks
+  for (std::size_t i = 1; i < n; ++i)
+    if (peak < data[i]) peak = data[i];
   if (peak <= 0.0) return 0.0;
+  const double cut = cfg_.activation_threshold * peak;
   std::size_t on = 0;
-  for (double v : data)
-    if (v > cfg_.activation_threshold * peak) ++on;
-  return static_cast<double>(on) / static_cast<double>(data.size());
+  for (std::size_t i = 0; i < n; ++i) on += data[i] > cut ? 1 : 0;
+  return static_cast<double>(on) / static_cast<double>(n);
 }
 
-std::vector<double> DdmClassifier::heatmap_prior(const dataset::DisasterImage& image) {
+std::vector<double> DdmClassifier::heatmap_prior() {
   // Measure the activated area of the "severe" Grad-CAM — the damage extent.
-  const nn::Tensor3 cam =
-      damage_heatmap(image, dataset::label_index(dataset::Severity::kSevere));
-  const double area = activated_fraction(cam);
+  const double area =
+      activated_fraction(grad_cam(dataset::label_index(dataset::Severity::kSevere)));
 
   std::vector<double> prior(dataset::kNumSeverityClasses, 0.1);
   if (area >= cfg_.severe_area)
@@ -153,9 +149,10 @@ std::vector<double> DdmClassifier::heatmap_prior(const dataset::DisasterImage& i
 }
 
 std::vector<double> DdmClassifier::predict_proba(const dataset::DisasterImage& image) {
+  // The vote's one forward; the Grad-CAM prior reads the state it leaves.
   std::vector<double> cnn = NeuralDdaAlgorithm::predict_proba(image);
   if (cfg_.heatmap_blend > 0.0) {
-    const std::vector<double> prior = heatmap_prior(image);
+    const std::vector<double> prior = heatmap_prior();
     for (std::size_t c = 0; c < cnn.size(); ++c)
       cnn[c] = (1.0 - cfg_.heatmap_blend) * cnn[c] + cfg_.heatmap_blend * prior[c];
     stats::normalize(cnn);

@@ -5,7 +5,9 @@
 // severity decision. Grad-CAM is computed exactly: the class score is
 // backpropagated to the last convolutional layer, channel importances are
 // the spatially-averaged gradients, and the map is the rectified
-// importance-weighted sum of activations.
+// importance-weighted sum of activations. A vote runs the network forward
+// once: the Grad-CAM reads the activations that forward leaves in the layers
+// and backpropagates input gradients only, so no parameter gradient moves.
 
 #include "experts/dda_algorithm.hpp"
 #include "nn/conv.hpp"
@@ -45,7 +47,8 @@ class DdmClassifier : public NeuralDdaAlgorithm {
   void hash_spec(ckpt::Hasher128& h) const override;
 
   /// Grad-CAM damage heatmap for the given class over the last conv layer's
-  /// spatial grid. Requires a trained model.
+  /// spatial grid: one inference forward, then the same Grad-CAM the vote
+  /// uses. Requires a trained model.
   nn::Tensor3 damage_heatmap(const dataset::DisasterImage& image, std::size_t cls);
 
   /// Fraction of heatmap cells above activation_threshold x peak value.
@@ -63,8 +66,14 @@ class DdmClassifier : public NeuralDdaAlgorithm {
   DdmConfig cfg_;
   std::size_t conv2_index_ = 0;  ///< layer index of the Grad-CAM conv layer
 
-  /// One-hot-ish severity prior from the activated heatmap area.
-  std::vector<double> heatmap_prior(const dataset::DisasterImage& image);
+  /// Grad-CAM of class `cls` from the state the latest 1-row inference
+  /// forward left in the layers (the conv activations, the ReLU input caches
+  /// and the MaxPool argmax), shaped 1 x H x W.
+  nn::Tensor3 grad_cam(std::size_t cls);
+
+  /// One-hot-ish severity prior from the activated area of the severe-class
+  /// Grad-CAM of the latest forward.
+  std::vector<double> heatmap_prior();
 };
 
 }  // namespace crowdlearn::experts

@@ -163,32 +163,27 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   cached_input_ = Matrix();
 }
 
-void Conv2D::backward_into(const Matrix& grad_output, Matrix* grad_input) {
-  if (last_mode_ == ConvKernelMode::kNaiveReference) {
-    if (cached_input_.empty()) throw std::logic_error("Conv2D::backward before forward");
-    Matrix gi(cached_input_.rows(), in_shape_.size());
-    kernels::naive_conv2d_backward(geometry(), w_, cached_input_, grad_output, gi, dw_, db_);
-    if (grad_input != nullptr) *grad_input = std::move(gi);
-    return;
-  }
-  backward_im2col(grad_output, grad_input);
+void Conv2D::check_backward_state(const Matrix& grad_output) const {
+  const bool naive = last_mode_ == ConvKernelMode::kNaiveReference;
+  if (naive ? cached_input_.empty() : !have_fwd_state_)
+    throw std::logic_error("Conv2D::backward before forward (training pass required)");
+  const std::size_t batch = naive ? cached_input_.rows() : fwd_batch_;
+  if (grad_output.rows() != batch || grad_output.cols() != out_shape_.size())
+    throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
 }
 
-void Conv2D::backward_im2col(const Matrix& grad_output, Matrix* grad_input) {
-  if (!have_fwd_state_)
-    throw std::logic_error("Conv2D::backward before forward (training pass required)");
-  if (grad_output.rows() != fwd_batch_ || grad_output.cols() != out_shape_.size())
-    throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
+void Conv2D::backward_params(const Matrix& grad_output) {
+  check_backward_state(grad_output);
+  if (last_mode_ == ConvKernelMode::kNaiveReference) {
+    kernels::naive_conv2d_weight_grad(geometry(), cached_input_, grad_output, dw_, db_);
+    return;
+  }
   Workspace& ws = scratch();
-  util::ThreadPool* pool = ws.pool();
   const std::size_t batch = fwd_batch_;
   const std::size_t hw = out_shape_.height * out_shape_.width;
-  const std::size_t ic_n = in_shape_.channels;
   const std::size_t oc_n = out_shape_.channels;
-  const std::size_t k2 = k_ * k_;
-  const kernels::ConvGeometry g = geometry();
-
-  Matrix& cols = ws.buffer(layer_id_, 0, batch * hw, w_.cols());  // retained from forward
+  const std::size_t ckk = w_.cols();
+  Matrix& cols = ws.buffer(layer_id_, 0, batch * hw, ckk);  // retained from forward
 
   // Weight/bias gradient: dw += grad^T x cols, where grad^T(oc, s*HW + p) =
   // grad(s, oc, p), formed as a sparse-left product — each nonzero gradient
@@ -201,8 +196,7 @@ void Conv2D::backward_im2col(const Matrix& grad_output, Matrix* grad_input) {
   // db(oc) sums the same nonzero gradients in the same order. Output
   // channels own disjoint dw rows / db slots, so chunks by channel are
   // bit-stable.
-  const std::size_t ckk = w_.cols();
-  run_chunks(pool, oc_n, batch * hw * ckk, [&](std::size_t ob, std::size_t oe) {
+  run_chunks(ws.pool(), oc_n, batch * hw * ckk, [&](std::size_t ob, std::size_t oe) {
     for (std::size_t oc = ob; oc < oe; ++oc) {
       double* dwrow = &dw_.data()[oc * ckk];
       double dbv = db_.data()[oc];
@@ -220,9 +214,23 @@ void Conv2D::backward_im2col(const Matrix& grad_output, Matrix* grad_input) {
       db_.data()[oc] = dbv;
     }
   });
+}
 
-  if (grad_input == nullptr) return;  // first layer: the input gradient is unused
-  grad_input->reshape(batch, in_shape_.size());
+void Conv2D::backward_input(const Matrix& grad_output, Matrix& grad_input) {
+  check_backward_state(grad_output);
+  const std::size_t batch = grad_output.rows();
+  grad_input.reshape(batch, in_shape_.size());
+  const kernels::ConvGeometry g = geometry();
+  if (last_mode_ == ConvKernelMode::kNaiveReference) {
+    kernels::naive_conv2d_grad_input(g, w_, grad_output, grad_input);
+    return;
+  }
+  Workspace& ws = scratch();
+  util::ThreadPool* pool = ws.pool();
+  const std::size_t hw = out_shape_.height * out_shape_.width;
+  const std::size_t ic_n = in_shape_.channels;
+  const std::size_t oc_n = out_shape_.channels;
+  const std::size_t k2 = k_ * k_;
 
   // Input gradient: both routes below produce byte-identical doubles — per
   // target element the terms arrive (oc, source y, source x) ascending with
@@ -238,9 +246,9 @@ void Conv2D::backward_im2col(const Matrix& grad_output, Matrix* grad_input) {
   if (sparse) {
     const std::size_t in_size = in_shape_.size();
     run_chunks(pool, batch, hw * oc_n * k2 * ic_n, [&](std::size_t sb, std::size_t se) {
-      std::fill(grad_input->data().begin() + static_cast<std::ptrdiff_t>(sb * in_size),
-                grad_input->data().begin() + static_cast<std::ptrdiff_t>(se * in_size), 0.0);
-      kernels::conv2d_grad_input_scatter(g, w_, grad_output, *grad_input, sb, se);
+      std::fill(grad_input.data().begin() + static_cast<std::ptrdiff_t>(sb * in_size),
+                grad_input.data().begin() + static_cast<std::ptrdiff_t>(se * in_size), 0.0);
+      kernels::conv2d_grad_input_scatter(g, w_, grad_output, grad_input, sb, se);
     });
     return;
   }
@@ -261,12 +269,18 @@ void Conv2D::backward_im2col(const Matrix& grad_output, Matrix* grad_input) {
     gcols.matmul_rows_into(w2, gim, rb, re);
   });
   run_chunks(pool, batch, hw * ic_n, [&](std::size_t sb, std::size_t se) {
-    kernels::scatter_channel_major(gim, *grad_input, ic_n, hw, sb, se);
+    kernels::scatter_channel_major(gim, grad_input, ic_n, hw, sb, se);
   });
 }
 
 std::vector<Param> Conv2D::params() {
   return {{&w_, &dw_, "Conv2D.W"}, {&b_, &db_, "Conv2D.b"}};
+}
+
+const Matrix& Conv2D::last_activations() const {
+  if (cached_output_.empty())
+    throw std::logic_error("Conv2D::last_activations: no cached inference forward");
+  return cached_output_;
 }
 
 Tensor3 Conv2D::last_activation(std::size_t sample) const {
@@ -332,21 +346,20 @@ void MaxPool2D::forward_into(const Matrix& input, Matrix& out, bool /*training*/
   });
 }
 
-void MaxPool2D::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+void MaxPool2D::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   if (argmax_batch_ == 0) throw std::logic_error("MaxPool2D::backward before forward");
   const std::size_t out_size = out_shape_.size();
   if (grad_output.rows() != argmax_batch_ || grad_output.cols() != out_size)
     throw std::invalid_argument("MaxPool2D::backward: grad shape mismatch");
-  if (grad_input == nullptr) return;  // no parameters to accumulate
   const std::size_t batch = grad_output.rows();
   const std::size_t in_size = in_shape_.size();
-  grad_input->reshape(batch, in_size);
+  grad_input.reshape(batch, in_size);
   util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
   run_chunks(pool, batch, in_size, [&](std::size_t sb, std::size_t se) {
     for (std::size_t s = sb; s < se; ++s) {
       const double* g = &grad_output.data()[s * out_size];
       const std::size_t* am = &argmax_[s * out_size];
-      double* dx = &grad_input->data()[s * in_size];
+      double* dx = &grad_input.data()[s * in_size];
       std::fill(dx, dx + in_size, 0.0);
       for (std::size_t o = 0; o < out_size; ++o) dx[am[o]] += g[o];
     }
@@ -377,15 +390,14 @@ void GlobalAvgPool::forward_into(const Matrix& input, Matrix& out, bool /*traini
   }
 }
 
-void GlobalAvgPool::backward_into(const Matrix& grad_output, Matrix* grad_input) {
-  if (grad_input == nullptr) return;  // no parameters to accumulate
+void GlobalAvgPool::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   const std::size_t hw = in_shape_.height * in_shape_.width;
-  grad_input->reshape(grad_output.rows(), in_shape_.size());  // every element written below
+  grad_input.reshape(grad_output.rows(), in_shape_.size());  // every element written below
   const double scale = 1.0 / static_cast<double>(hw);
   for (std::size_t s = 0; s < grad_output.rows(); ++s)
     for (std::size_t c = 0; c < in_shape_.channels; ++c)
       for (std::size_t i = 0; i < hw; ++i)
-        (*grad_input)(s, c * hw + i) = grad_output(s, c) * scale;
+        grad_input(s, c * hw + i) = grad_output(s, c) * scale;
 }
 
 }  // namespace crowdlearn::nn

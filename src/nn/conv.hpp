@@ -39,7 +39,10 @@ class Conv2D : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  /// Both backward halves need a training forward (the im2col panel, or the
+  /// input copy in naive mode); after an inference forward they throw.
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
+  void backward_params(const Matrix& grad_output) override;
   void bind_workspace(Workspace* ws, std::size_t layer_id) override;
   std::vector<Param> params() override;
 
@@ -57,10 +60,12 @@ class Conv2D : public Layer {
   const Matrix& bias() const { return b_; }
   Matrix& bias() { return b_; }
 
-  /// Activation map of one sample from the most recent forward pass, as a
-  /// Tensor3 — used by the DDM expert's CAM-style heatmap. Only inference
-  /// forwards keep it (training forwards skip the copy and clear it), the
-  /// mirror image of the backward scratch.
+  /// Activations of the most recent forward pass, one row per sample — the
+  /// DDM expert's Grad-CAM reads them. Only inference forwards keep them
+  /// (training forwards skip the copy and clear it), the mirror image of the
+  /// backward scratch; throws std::logic_error when none are cached.
+  const Matrix& last_activations() const;
+  /// One sample of last_activations() as a Tensor3.
   Tensor3 last_activation(std::size_t sample) const;
 
   /// Process-wide kernel selector for tests and benchmarks. Not for use
@@ -87,7 +92,7 @@ class Conv2D : public Layer {
   kernels::ConvGeometry geometry() const { return {in_shape_, out_shape_, k_, pad_}; }
   Workspace& scratch();
   void forward_im2col(const Matrix& input, Matrix& out, bool training);
-  void backward_im2col(const Matrix& grad_output, Matrix* grad_input);
+  void check_backward_state(const Matrix& grad_output) const;
 };
 
 /// 2x2 max pooling with stride 2. Requires even spatial dimensions.
@@ -103,7 +108,7 @@ class MaxPool2D : public Layer {
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
 
   std::size_t input_size() const override { return in_shape_.size(); }
   std::size_t output_size() const override { return out_shape_.size(); }
@@ -130,7 +135,7 @@ class GlobalAvgPool : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
 
   const Shape3& in_shape() const { return in_shape_; }
   std::size_t input_size() const override { return in_shape_.size(); }

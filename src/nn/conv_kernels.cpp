@@ -45,18 +45,22 @@ void naive_conv2d_forward(const ConvGeometry& g, const Matrix& w, const Matrix& 
   }
 }
 
-void naive_conv2d_backward(const ConvGeometry& g, const Matrix& w, const Matrix& cached_input,
-                           const Matrix& grad_output, Matrix& grad_input, Matrix& dw,
-                           Matrix& db) {
-  const std::size_t batch = cached_input.rows();
-  grad_input.fill(0.0);
-  for (std::size_t s = 0; s < batch; ++s) {
+namespace {
+
+/// The naive backward visit: every in-bounds (sample, oc, y, x, ic, ky, kx)
+/// tap with a nonzero output gradient, in that nesting order. The two
+/// reference gradients below differ only in the target each tap updates;
+/// `on_grad(oc, grad)` runs once per nonzero gradient before its taps.
+template <typename OnGrad, typename OnTap>
+void naive_backward_taps(const ConvGeometry& g, const Matrix& grad_output, OnGrad&& on_grad,
+                         OnTap&& on_tap) {
+  for (std::size_t s = 0; s < grad_output.rows(); ++s) {
     for (std::size_t oc = 0; oc < g.out.channels; ++oc) {
       for (std::size_t y = 0; y < g.out.height; ++y) {
         for (std::size_t x = 0; x < g.out.width; ++x) {
           const double grad = grad_output(s, g.out.flat(oc, y, x));
           if (grad == 0.0) continue;
-          db(0, oc) += grad;
+          on_grad(oc, grad);
           for (std::size_t ic = 0; ic < g.in.channels; ++ic) {
             for (std::size_t ky = 0; ky < g.k; ++ky) {
               for (std::size_t kx = 0; kx < g.k; ++kx) {
@@ -67,9 +71,7 @@ void naive_conv2d_backward(const ConvGeometry& g, const Matrix& w, const Matrix&
                   continue;
                 const std::size_t in_flat = g.in.flat(ic, static_cast<std::size_t>(iy),
                                                       static_cast<std::size_t>(ix));
-                const std::size_t w_col = (ic * g.k + ky) * g.k + kx;
-                dw(oc, w_col) += grad * cached_input(s, in_flat);
-                grad_input(s, in_flat) += grad * w(oc, w_col);
+                on_tap(s, oc, in_flat, (ic * g.k + ky) * g.k + kx, grad);
               }
             }
           }
@@ -77,6 +79,27 @@ void naive_conv2d_backward(const ConvGeometry& g, const Matrix& w, const Matrix&
       }
     }
   }
+}
+
+}  // namespace
+
+void naive_conv2d_weight_grad(const ConvGeometry& g, const Matrix& cached_input,
+                              const Matrix& grad_output, Matrix& dw, Matrix& db) {
+  naive_backward_taps(
+      g, grad_output, [&](std::size_t oc, double grad) { db(0, oc) += grad; },
+      [&](std::size_t s, std::size_t oc, std::size_t in_flat, std::size_t w_col, double grad) {
+        dw(oc, w_col) += grad * cached_input(s, in_flat);
+      });
+}
+
+void naive_conv2d_grad_input(const ConvGeometry& g, const Matrix& w, const Matrix& grad_output,
+                             Matrix& grad_input) {
+  grad_input.fill(0.0);
+  naive_backward_taps(
+      g, grad_output, [](std::size_t, double) {},
+      [&](std::size_t s, std::size_t oc, std::size_t in_flat, std::size_t w_col, double grad) {
+        grad_input(s, in_flat) += grad * w(oc, w_col);
+      });
 }
 
 void im2col_rows(const Matrix& src, const Shape3& shape, std::size_t k, std::size_t pad,

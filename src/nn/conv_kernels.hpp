@@ -1,10 +1,11 @@
 #pragma once
 // Convolution compute kernels, in two interchangeable flavors:
 //
-//  * naive_conv2d_forward/backward — the original 7-deep reference loops,
-//    retained verbatim. They define the bit patterns everything else must
-//    reproduce, and they are what the perf-regression benchmarks compare
-//    against (BM_Conv2DForwardNaive etc.).
+//  * naive_conv2d_forward / _weight_grad / _grad_input — the original
+//    7-deep reference loops (the backward split by target, which leaves
+//    every target's term order as it was). They define the bit patterns
+//    everything else must reproduce, and they are what the perf-regression
+//    benchmarks compare against (BM_Conv2DForwardNaive etc.).
 //  * the im2col building blocks Conv2D assembles into GEMM calls. The
 //    im2col column order matches the naive `(ic*k + ky)*k + kx` reduction
 //    order exactly, and Matrix::matmul's `a == 0.0` left-operand skip is
@@ -40,12 +41,18 @@ struct ConvGeometry {
 void naive_conv2d_forward(const ConvGeometry& g, const Matrix& w, const Matrix& b,
                           const Matrix& input, Matrix& out);
 
-/// Reference backward. `grad_input` must be pre-shaped (batch x in.size())
-/// and is zero-filled here; `dw`/`db` are accumulated into (+=), matching
-/// the layer's cross-batch gradient accumulation semantics.
-void naive_conv2d_backward(const ConvGeometry& g, const Matrix& w, const Matrix& cached_input,
-                           const Matrix& grad_output, Matrix& grad_input, Matrix& dw,
-                           Matrix& db);
+/// Reference weight/bias gradient: `dw`/`db` are accumulated into (+=),
+/// matching the layer's cross-batch gradient accumulation semantics. Per
+/// element the terms arrive samples, then output positions, ascending, with
+/// the `grad == 0.0` skip and out-of-bounds windows left out.
+void naive_conv2d_weight_grad(const ConvGeometry& g, const Matrix& cached_input,
+                              const Matrix& grad_output, Matrix& dw, Matrix& db);
+
+/// Reference input gradient. `grad_input` must be pre-shaped
+/// (batch x in.size()) and is zero-filled here; per target the terms arrive
+/// (oc, source y, source x) ascending with the same skips.
+void naive_conv2d_grad_input(const ConvGeometry& g, const Matrix& w, const Matrix& grad_output,
+                             Matrix& grad_input);
 
 // --- im2col building blocks -----------------------------------------------
 

@@ -65,7 +65,7 @@ void Dense::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   out.add_row_broadcast(b_);
 }
 
-void Dense::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+void Dense::backward_params(const Matrix& grad_output) {
   if (cached_input_.empty()) throw std::logic_error("Dense::backward before forward");
   if (grad_output.rows() != cached_input_.rows() || grad_output.cols() != out_)
     throw std::invalid_argument("Dense::backward: grad shape mismatch");
@@ -87,12 +87,53 @@ void Dense::backward_into(const Matrix& grad_output, Matrix* grad_input) {
     for (std::size_t r = 0; r < batch; ++r) sum += g[r * out_ + c];
     db_.data()[c] += sum;
   }
-  if (grad_input == nullptr) return;
-  // dX = g W^T, row-chunked like the forward GEMM.
-  transpose_into(w_, w_t_);
-  grad_input->reshape(batch, in_);
+}
+
+void Dense::backward_input(const Matrix& grad_output, Matrix& grad_input) {
+  if (grad_output.cols() != out_)
+    throw std::invalid_argument("Dense::backward: grad shape mismatch");
+  // dX = g W^T straight from the row-major W: dX(r, i) is the dot product of
+  // g's row r with W's row i, accumulated from +0.0 over ascending j with the
+  // `g == 0.0` skip -- the term sequence of g.matmul(W^T), so the bits are
+  // the GEMM's. Each row first lists its nonzero columns (the skip, decided
+  // once per row instead of per product); eight rows of W then run side by
+  // side as independent accumulators, which reorders no single sum. Output
+  // rows are independent, hence chunkable.
+  constexpr std::size_t kLanes = 8;
+  const std::size_t batch = grad_output.rows();
+  grad_input.reshape(batch, in_);
+  live_cols_.resize(batch * out_);  // capacity reused; each row owns a slice
+  const double* g = grad_output.data().data();
+  const double* w = w_.data().data();
+  double* dx = grad_input.data().data();
   run_row_chunks(ws_, batch, out_ * in_, [&](std::size_t rb, std::size_t re) {
-    grad_output.matmul_rows_into(w_t_, *grad_input, rb, re);
+    for (std::size_t r = rb; r < re; ++r) {
+      const double* grow = g + r * out_;
+      std::size_t* live = live_cols_.data() + r * out_;
+      std::size_t n = 0;
+      for (std::size_t j = 0; j < out_; ++j) {
+        live[n] = j;
+        n += grow[j] != 0.0 ? 1 : 0;
+      }
+      double* dxrow = dx + r * in_;
+      std::size_t i = 0;
+      for (; i + kLanes <= in_; i += kLanes) {
+        const double* wrows = w + i * out_;
+        double acc[kLanes] = {};
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::size_t j = live[k];
+          const double gv = grow[j];
+          for (std::size_t t = 0; t < kLanes; ++t) acc[t] += gv * wrows[t * out_ + j];
+        }
+        for (std::size_t t = 0; t < kLanes; ++t) dxrow[i + t] = acc[t];
+      }
+      for (; i < in_; ++i) {
+        const double* wrow = w + i * out_;
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) acc += grow[live[k]] * wrow[live[k]];
+        dxrow[i] = acc;
+      }
+    }
   });
 }
 
@@ -123,16 +164,15 @@ void ReLU::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
                  });
 }
 
-void ReLU::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+void ReLU::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   if (cached_input_.empty()) throw std::logic_error("ReLU::backward before forward");
   if (grad_output.rows() != cached_input_.rows() || grad_output.cols() != cached_input_.cols())
     throw std::invalid_argument("ReLU::backward: grad shape mismatch");
-  if (grad_input == nullptr) return;  // no parameters to accumulate
   const std::size_t cols = grad_output.cols();
-  grad_input->reshape(grad_output.rows(), cols);
+  grad_input.reshape(grad_output.rows(), cols);
   const double* g = grad_output.data().data();
   const double* x = cached_input_.data().data();
-  double* dx = grad_input->data().data();
+  double* dx = grad_input.data().data();
   run_row_chunks(ws_, grad_output.rows(), cols,
                  [&](std::size_t rb, std::size_t re) {
                    for (std::size_t i = rb * cols; i < re * cols; ++i)
@@ -153,13 +193,12 @@ void Tanh::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   cached_output_ = out;
 }
 
-void Tanh::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+void Tanh::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   if (cached_output_.empty()) throw std::logic_error("Tanh::backward before forward");
-  if (grad_input == nullptr) return;  // no parameters to accumulate
-  *grad_input = grad_output;
-  for (std::size_t i = 0; i < grad_input->data().size(); ++i) {
+  grad_input = grad_output;
+  for (std::size_t i = 0; i < grad_input.data().size(); ++i) {
     const double y = cached_output_.data()[i];
-    grad_input->data()[i] *= (1.0 - y * y);
+    grad_input.data()[i] *= (1.0 - y * y);
   }
 }
 
@@ -192,13 +231,13 @@ void Dropout::forward_into(const Matrix& input, Matrix& out, bool training) {
   }
 }
 
-void Dropout::backward_into(const Matrix& grad_output, Matrix* grad_input) {
+void Dropout::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   if (!last_training_ || rate_ == 0.0) {
-    if (grad_input != nullptr) *grad_input = grad_output;
+    grad_input = grad_output;
     return;
   }
   if (mask_.empty()) throw std::logic_error("Dropout::backward before forward");
-  if (grad_input != nullptr) *grad_input = grad_output.hadamard(mask_);
+  grad_input = grad_output.hadamard(mask_);
 }
 
 }  // namespace crowdlearn::nn

@@ -26,6 +26,11 @@ struct Param {
 
 /// Base class for all layers. forward() must be called before backward();
 /// layers may cache activations from the most recent forward pass.
+///
+/// Backpropagation comes in two halves so a pass that needs only input
+/// gradients (Grad-CAM) never touches the parameter gradients: every layer
+/// implements backward_input(); only layers with parameters implement
+/// backward_params(). Both read the state the latest forward left behind.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -49,17 +54,22 @@ class Layer {
   /// layer's use of it; passing nullptr detaches.
   virtual void bind_workspace(Workspace* /*ws*/, std::size_t /*layer_id*/) {}
 
-  /// Backpropagate: given dL/d(output), accumulate parameter gradients and
-  /// write dL/d(input) into `*grad_input` (reshaped; capacity reused). A
-  /// null `grad_input` means the caller discards the input gradient (the
-  /// first layer of Sequential::backward_ws), so the layer may skip
-  /// computing it. `grad_input` must not alias `grad_output`.
-  virtual void backward_into(const Matrix& grad_output, Matrix* grad_input) = 0;
+  /// Input half of backpropagation: given dL/d(output) for the batch of the
+  /// latest forward, write dL/d(input) into `grad_input` (reshaped; capacity
+  /// reused). Accumulates no parameter gradient. `grad_input` must not alias
+  /// `grad_output`.
+  virtual void backward_input(const Matrix& grad_output, Matrix& grad_input) = 0;
 
-  /// backward_into() into a fresh Matrix: returns dL/d(input).
+  /// Parameter half: accumulate (+=) dL/d(params) into the layers' Param
+  /// grads. The default is a no-op for layers without parameters.
+  virtual void backward_params(const Matrix& /*grad_output*/) {}
+
+  /// Full backward: backward_params(), then backward_input() into a fresh
+  /// Matrix, which is returned.
   Matrix backward(const Matrix& grad_output) {
+    backward_params(grad_output);
     Matrix grad_input;
-    backward_into(grad_output, &grad_input);
+    backward_input(grad_output, grad_input);
     return grad_input;
   }
 
@@ -89,7 +99,8 @@ class Dense : public Layer {
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
+  void backward_params(const Matrix& grad_output) override;
   std::vector<Param> params() override;
   std::size_t input_size() const override { return in_; }
   std::size_t output_size() const override { return out_; }
@@ -106,8 +117,11 @@ class Dense : public Layer {
   Matrix w_, b_;
   Matrix dw_, db_;
   Matrix cached_input_;
-  // Backward scratch, reused across steps: input^T, the dW panel and W^T.
-  Matrix input_t_, dw_panel_, w_t_;
+  // Backward scratch, reused across steps: input^T and the dW panel for the
+  // parameter half, and each gradient row's nonzero columns for the input
+  // half.
+  Matrix input_t_, dw_panel_;
+  std::vector<std::size_t> live_cols_;
   Workspace* ws_ = nullptr;  ///< not owned; only consulted for the pool
 };
 
@@ -122,7 +136,7 @@ class ReLU : public Layer {
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "ReLU"; }
@@ -141,7 +155,7 @@ class Tanh : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "Tanh"; }
@@ -160,7 +174,7 @@ class Dropout : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  void backward_into(const Matrix& grad_output, Matrix* grad_input) override;
+  void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "Dropout"; }

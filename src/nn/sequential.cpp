@@ -50,10 +50,23 @@ void Sequential::backward_ws(const Matrix& grad_logits) {
     // Layer i writes slot i % 2 and reads slot (i + 1) % 2 (or the logits
     // gradient), so input and output never alias.
     Matrix& grad_input = ws_->gradient(i % 2);
-    layers_[i]->backward_into(*grad, &grad_input);
+    layers_[i]->backward_params(*grad);
+    layers_[i]->backward_input(*grad, grad_input);
     grad = &grad_input;
   }
-  layers_.front()->backward_into(*grad, nullptr);
+  layers_.front()->backward_params(*grad);
+}
+
+const Matrix& Sequential::input_gradient_ws(const Matrix& grad_logits, std::size_t first) {
+  if (first >= layers_.size())
+    throw std::out_of_range("Sequential::input_gradient_ws: no such layer");
+  const Matrix* grad = &grad_logits;
+  for (std::size_t i = layers_.size(); i-- > first;) {
+    Matrix& grad_input = ws_->gradient(i % 2);  // same ping-pong as backward_ws
+    layers_[i]->backward_input(*grad, grad_input);
+    grad = &grad_input;
+  }
+  return *grad;
 }
 
 Matrix Sequential::predict_proba(const Matrix& input) {

@@ -64,11 +64,18 @@ class Sequential {
 
   /// Allocation-free backward through every layer, last to first, given
   /// dL/d(logits) for the batch of the latest forward_ws(training=true).
-  /// Input gradients ping-pong through the workspace's gradient buffers;
-  /// the first layer's input gradient is never computed (nothing reads it).
-  /// Parameter gradients accumulate into the layers' grads, bit-identical to
-  /// chaining Layer::backward.
+  /// Each layer accumulates its parameter gradients, then (every layer but
+  /// the first, whose input gradient nothing reads) writes its input
+  /// gradient into the workspace's ping-pong gradient buffers.
+  /// Bit-identical to chaining Layer::backward.
   void backward_ws(const Matrix& grad_logits);
+
+  /// Input gradients only, from the last layer down to layer `first`, given
+  /// dL/d(logits) for the batch of the latest forward: returns dL/d(input of
+  /// layer `first`). No parameter gradient is touched, so this is safe after
+  /// an inference forward on a model that is also being trained (Grad-CAM).
+  /// The reference is valid until the next backward call on this model.
+  const Matrix& input_gradient_ws(const Matrix& grad_logits, std::size_t first);
 
   /// Attach a thread pool (nullptr = serial) that the layer kernels chunk
   /// their batch loops over, under the util::ThreadPool determinism

@@ -40,8 +40,8 @@ class Workspace {
   /// Shaped by the layer writing into them, not here.
   Matrix& activation(std::size_t slot);
 
-  /// Ping-pong input-gradient buffers for Sequential::backward_ws (slot
-  /// 0/1), shaped by the layer writing into them.
+  /// Ping-pong input-gradient buffers for Sequential::backward_ws and
+  /// input_gradient_ws (slot 0/1), shaped by the layer writing into them.
   Matrix& gradient(std::size_t slot);
 
   /// Pool the kernels chunk batch loops over; nullptr = serial. Not owned.

@@ -12,6 +12,9 @@
 //   3. Steady-state forwards and training passes (forward_ws + backward_ws)
 //      through a Sequential allocate nothing: all scratch lives in the
 //      model's nn::Workspace or the layers and is reused.
+//   4. The two backward halves split cleanly: backward_input alone writes
+//      the full backward's input-gradient bits and touches no parameter
+//      gradient; backward_params alone accumulates the full backward's.
 
 #include <gtest/gtest.h>
 
@@ -247,8 +250,8 @@ TEST(NnKernels, WeightGradMatchesNaiveAtEveryKernelSize) {
 }
 
 TEST(NnKernels, ParamsOnlyBackwardMatchesFullBackward) {
-  // Sequential::backward_ws skips the first layer's input gradient; the
-  // parameter gradients it accumulates must be the full backward's bits.
+  // Sequential::backward_ws runs only backward_params on the first layer;
+  // the parameter gradients it accumulates must be the full backward's bits.
   KernelModeGuard guard;
   Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -272,14 +275,14 @@ TEST(NnKernels, ParamsOnlyBackwardMatchesFullBackward) {
       full.forward(x, true);
       params_only.forward(x, true);
       full.backward(g);
-      params_only.backward_into(g, nullptr);
+      params_only.backward_params(g);
 
       const Matrix xd = sparse_matrix(5, 12, rng);
       const Matrix gd = random_matrix(5, 5, rng);
       dense_full.forward(xd, true);
       dense_params_only.forward(xd, true);
       dense_full.backward(gd);
-      dense_params_only.backward_into(gd, nullptr);
+      dense_params_only.backward_params(gd);
     }
     const std::vector<Param> a = full.params();
     const std::vector<Param> b = params_only.params();
@@ -293,7 +296,7 @@ TEST(NnKernels, ParamsOnlyBackwardMatchesFullBackward) {
 }
 
 TEST(NnKernels, ReluAndMaxPoolBackwardIntoMatchBackward) {
-  // backward_into writes through raw row pointers into a reused buffer
+  // backward_input writes through raw row pointers into a reused buffer
   // (here one left at a different shape by an earlier call), chunked by
   // sample over the pool; it must equal backward() and the element-wise
   // definition: ReLU passes g where x > 0, MaxPool routes g to each
@@ -314,8 +317,8 @@ TEST(NnKernels, ReluAndMaxPoolBackwardIntoMatchBackward) {
     Matrix want(7, shape.size());
     for (std::size_t i = 0; i < want.size(); ++i)
       want.data()[i] = x.data()[i] <= 0.0 ? 0.0 : g.data()[i];
-    relu.backward_into(g, &reused);
-    expect_bitwise_eq(want, reused, "ReLU backward_into");
+    relu.backward_input(g, reused);
+    expect_bitwise_eq(want, reused, "ReLU backward_input");
     expect_bitwise_eq(want, relu.backward(g), "ReLU backward");
 
     MaxPool2D pool2d(shape);
@@ -335,9 +338,89 @@ TEST(NnKernels, ReluAndMaxPoolBackwardIntoMatchBackward) {
               }
             want_p(s, best) += gp(s, (c * 3 + y) * 3 + xx);
           }
-    pool2d.backward_into(gp, &reused);
-    expect_bitwise_eq(want_p, reused, "MaxPool2D backward_into");
+    pool2d.backward_input(gp, reused);
+    expect_bitwise_eq(want_p, reused, "MaxPool2D backward_input");
     expect_bitwise_eq(want_p, pool2d.backward(gp), "MaxPool2D backward");
+  }
+}
+
+/// The input half alone must write the bits the full backward returns, and
+/// leave every parameter gradient as it found it.
+void expect_input_half_matches_full(Layer& full, Layer& half, const Matrix& x,
+                                    const Matrix& g, const char* what) {
+  full.forward(x, true);
+  half.forward(x, true);
+  std::vector<Matrix> grads_before;
+  for (const Param& p : half.params()) grads_before.push_back(*p.grad);
+  const Matrix want = full.backward(g);
+  Matrix got(1, 1, 7.0);  // stale contents and shape, as a reused buffer has
+  half.backward_input(g, got);
+  expect_bitwise_eq(want, got, what);
+  const std::vector<Param> after = half.params();
+  for (std::size_t p = 0; p < after.size(); ++p)
+    expect_bitwise_eq(grads_before[p], *after[p].grad, after[p].name.c_str());
+}
+
+TEST(NnKernels, InputGradientPassMatchesFullBackwardForEveryLayer) {
+  // Every layer type, batch 1 and 32, gradients with exact zeros plus an
+  // all-+0.0 and a mixed ±0.0 row (batch 32), at 1 and 4 threads. Conv2D
+  // runs both input-gradient routes (sparse scatter and dense GEMM) and the
+  // naive reference mode.
+  KernelModeGuard guard;
+  const Shape3 shape{3, 6, 6};
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::ThreadPool pool(threads);
+    Workspace ws_a, ws_b;
+    ws_a.set_pool(&pool);
+    ws_b.set_pool(&pool);
+    for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
+      Rng rng(600 + batch + threads);
+      auto check = [&](Layer& proto, double zero_frac, const char* what) {
+        std::unique_ptr<Layer> full = proto.clone();
+        std::unique_ptr<Layer> half = proto.clone();
+        full->bind_workspace(&ws_a, 0);
+        half->bind_workspace(&ws_b, 0);
+        const Matrix x = sparse_matrix(batch, proto.input_size(), rng);
+        const Matrix g = gradient_with_zero_rows(batch, proto.output_size(), zero_frac, rng);
+        expect_input_half_matches_full(*full, *half, x, g, what);
+      };
+      Dense dense(37, 13, rng);  // 37 = 4 lanes of 8 plus a remainder of 5
+      check(dense, 0.3, "Dense");
+      Dense dense_wide(96, 48, rng);
+      check(dense_wide, 0.6, "Dense 96x48");
+      ReLU relu(shape.size());
+      check(relu, 0.3, "ReLU");
+      Tanh tanh_layer(shape.size());
+      check(tanh_layer, 0.3, "Tanh");
+      Dropout dropout(shape.size(), 0.25, rng);
+      check(dropout, 0.3, "Dropout");
+      MaxPool2D maxpool(shape);
+      check(maxpool, 0.3, "MaxPool2D");
+      GlobalAvgPool gap(shape);
+      check(gap, 0.3, "GlobalAvgPool");
+      Conv2D conv(shape, 4, 3, rng);
+      check(conv, 0.9, "Conv2D sparse route");
+      check(conv, 0.1, "Conv2D dense route");
+      Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
+      check(conv, 0.3, "Conv2D naive");
+      Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+    }
+  }
+}
+
+TEST(NnKernels, DenseInputGradientIsTheGemmAgainstTransposedWeights) {
+  // The row-major dot products of Dense::backward_input replay g x W^T term
+  // for term (ascending j from +0.0, zero-skipping g), including the
+  // remainder columns past the last group of eight.
+  Rng rng(650);
+  for (std::size_t in : {std::size_t{1}, std::size_t{8}, std::size_t{19}, std::size_t{384}}) {
+    Dense dense(in, 11, rng);
+    const Matrix x = sparse_matrix(5, in, rng);
+    const Matrix g = gradient_with_zero_rows(5, 11, 0.4, rng);
+    dense.forward(x, false);
+    Matrix got;
+    dense.backward_input(g, got);
+    expect_bitwise_eq(g.matmul(dense.weights().transpose()), got, "Dense dX");
   }
 }
 
