@@ -5,8 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
-#include <fstream>
-#include <limits>
 
 #include "bandit/ucb_alp.hpp"
 #include "cache/artifact_cache.hpp"
@@ -20,9 +18,8 @@
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
 #include "obs/observability.hpp"
-#include "service/coalescer.hpp"
-#include "service/queue.hpp"
-#include "service/tenant.hpp"
+#include "oracle/naive_conv.hpp"
+#include "oracle/reference_gemm.hpp"
 #include "truth/cqc.hpp"
 #include "util/thread_pool.hpp"
 #include "util/guard.hpp"
@@ -49,33 +46,35 @@ BENCHMARK(BM_MatrixMatmul)->Arg(32)->Arg(64)->Arg(128);
 // --- Tiled vs reference GEMM (docs/PERFORMANCE.md) ---
 //
 // The cache-blocked kernel (nn/gemm_tiled.hpp) carries serving-scale
-// committee batches; the reference i-k-j loop is retained as the readable
-// spec. The perf-regression gate is time(reference) / time(tiled) >= 2 at
-// 512x512x512 (scripts/bench_json.sh). Both kernels produce byte-identical
-// outputs (tests/test_gemm_tiled.cpp). Dense operands: the zero-skip branch
-// never fires, so this measures the pure blocking/vectorization win.
+// committee batches; BM_GemmReference times the row-major i-k-j loop of
+// tests/oracle/reference_gemm.hpp, the readable spec. The perf-regression
+// gate is time(reference) / time(tiled) >= 2 at 512x512x512
+// (scripts/bench_json.sh). Both produce byte-identical outputs
+// (tests/test_gemm_tiled.cpp). Dense operands: the zero-skip branch never
+// fires, so this measures the pure blocking/vectorization win.
 
-void gemm_bench(benchmark::State& state, nn::GemmKernel kernel) {
+template <typename Matmul>
+void gemm_bench(benchmark::State& state, Matmul&& matmul) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   nn::Matrix a(n, n), b(n, n);
   for (double& v : a.data()) v = rng.uniform(-1, 1);
   for (double& v : b.data()) v = rng.uniform(-1, 1);
-  nn::Matrix::set_gemm_kernel(kernel);
   for (auto _ : state) {
-    nn::Matrix c = a.matmul(b);
+    nn::Matrix c = matmul(a, b);
     benchmark::DoNotOptimize(c.data().data());
   }
-  nn::Matrix::set_gemm_kernel(nn::GemmKernel::kTiled);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n * n));
 }
 
-void BM_GemmTiled(benchmark::State& state) { gemm_bench(state, nn::GemmKernel::kTiled); }
+void BM_GemmTiled(benchmark::State& state) {
+  gemm_bench(state, [](const nn::Matrix& a, const nn::Matrix& b) { return a.matmul(b); });
+}
 BENCHMARK(BM_GemmTiled)->Arg(128)->Arg(512);
 
 void BM_GemmReference(benchmark::State& state) {
-  gemm_bench(state, nn::GemmKernel::kRowMajorReference);
+  gemm_bench(state, oracle::reference_matmul);
 }
 BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
 
@@ -83,80 +82,68 @@ BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
 //
 // Args = {batch, layer}: layer 0 is the VGG16-like first conv
 // ({1,16,16} -> 8ch, 3x3), layer 1 the second ({8,8,8} -> 16ch, 3x3).
-// The *Naive variants run the retained reference kernels on the same
-// shapes; the perf-regression gate is time(naive) / time(im2col) >= 3 at
-// these shapes (scripts/bench_json.sh records both in BENCH_micro.json).
-// Both paths produce byte-identical outputs (tests/test_nn_kernels.cpp).
+// The *Naive variants run oracle::NaiveConv2D (the reference kernels of
+// tests/oracle/naive_conv.hpp) with the same weights on the same shapes; the
+// perf-regression gate is time(naive) / time(im2col) >= 3 at these shapes
+// (scripts/bench_json.sh records both in BENCH_micro.json). Both produce
+// byte-identical outputs (tests/test_nn_kernels.cpp).
 
-nn::Shape3 conv_bench_shape(int layer) {
-  return layer == 0 ? nn::Shape3{1, 16, 16} : nn::Shape3{8, 8, 8};
+/// The benchmark conv for `layer`: a Conv2D, or a NaiveConv2D with its weights.
+std::unique_ptr<nn::Layer> bench_conv(int layer, bool naive, Rng& rng) {
+  const nn::Shape3 in = layer == 0 ? nn::Shape3{1, 16, 16} : nn::Shape3{8, 8, 8};
+  auto conv = std::make_unique<nn::Conv2D>(in, layer == 0 ? 8 : 16, 3, rng);
+  if (naive) return std::make_unique<oracle::NaiveConv2D>(*conv);
+  return conv;
 }
 
-std::size_t conv_bench_channels(int layer) { return layer == 0 ? 8 : 16; }
-
-void conv_forward_bench(benchmark::State& state, nn::ConvKernelMode mode) {
+void conv_forward_bench(benchmark::State& state, bool naive) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const int layer = static_cast<int>(state.range(1));
-  const nn::Shape3 in = conv_bench_shape(layer);
   Rng rng(2);
-  nn::Conv2D conv(in, conv_bench_channels(layer), 3, rng);
-  nn::Matrix x(batch, in.size());
+  const std::unique_ptr<nn::Layer> conv = bench_conv(static_cast<int>(state.range(1)), naive, rng);
+  nn::Matrix x(batch, conv->input_size());
   for (double& v : x.data()) v = rng.uniform(0, 1);
-  nn::Conv2D::set_kernel_mode(mode);
   nn::Matrix y;
-  conv.forward_into(x, y, false);  // warm-up sizes the workspace once
+  conv->forward_into(x, y, false);  // warm-up sizes the workspace once
   for (auto _ : state) {
-    conv.forward_into(x, y, false);
+    conv->forward_into(x, y, false);
     benchmark::DoNotOptimize(y.data().data());
   }
-  nn::Conv2D::set_kernel_mode(nn::ConvKernelMode::kIm2col);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
 
-void BM_Conv2DForward(benchmark::State& state) {
-  conv_forward_bench(state, nn::ConvKernelMode::kIm2col);
-}
+void BM_Conv2DForward(benchmark::State& state) { conv_forward_bench(state, false); }
 BENCHMARK(BM_Conv2DForward)->Args({1, 0})->Args({32, 0})->Args({32, 1});
 
-void BM_Conv2DForwardNaive(benchmark::State& state) {
-  conv_forward_bench(state, nn::ConvKernelMode::kNaiveReference);
-}
+void BM_Conv2DForwardNaive(benchmark::State& state) { conv_forward_bench(state, true); }
 BENCHMARK(BM_Conv2DForwardNaive)->Args({1, 0})->Args({32, 0})->Args({32, 1});
 
-void conv_backward_bench(benchmark::State& state, nn::ConvKernelMode mode) {
+void conv_backward_bench(benchmark::State& state, bool naive) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const int layer = static_cast<int>(state.range(1));
-  const nn::Shape3 in = conv_bench_shape(layer);
   Rng rng(2);
-  nn::Conv2D conv(in, conv_bench_channels(layer), 3, rng);
-  nn::Matrix x(batch, in.size());
+  const std::unique_ptr<nn::Layer> conv = bench_conv(static_cast<int>(state.range(1)), naive, rng);
+  nn::Matrix x(batch, conv->input_size());
   for (double& v : x.data()) v = rng.uniform(0, 1);
-  nn::Matrix g(batch, conv.output_size());
+  nn::Matrix g(batch, conv->output_size());
   for (double& v : g.data()) v = rng.uniform(-1, 1);
-  nn::Conv2D::set_kernel_mode(mode);
-  conv.forward(x, true);
+  conv->forward(x, true);
   for (auto _ : state) {
-    nn::Matrix gx = conv.backward(g);
+    nn::Matrix gx = conv->backward(g);
     benchmark::DoNotOptimize(gx.data().data());
   }
-  nn::Conv2D::set_kernel_mode(nn::ConvKernelMode::kIm2col);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
 
-void BM_Conv2DBackward(benchmark::State& state) {
-  conv_backward_bench(state, nn::ConvKernelMode::kIm2col);
-}
+void BM_Conv2DBackward(benchmark::State& state) { conv_backward_bench(state, false); }
 BENCHMARK(BM_Conv2DBackward)->Args({32, 0})->Args({32, 1});
 
-void BM_Conv2DBackwardNaive(benchmark::State& state) {
-  conv_backward_bench(state, nn::ConvKernelMode::kNaiveReference);
-}
+void BM_Conv2DBackwardNaive(benchmark::State& state) { conv_backward_bench(state, true); }
 BENCHMARK(BM_Conv2DBackwardNaive)->Args({32, 0})->Args({32, 1});
 
 // One SGD minibatch step (forward + backward + update) through the whole
 // VGG16-like stack on 16x16 inputs — the inner loop of expert (re)training.
+// The Naive variant trains the same stack with NaiveConv2D layers.
 nn::Sequential vgg16_like_bench_model(Rng& rng) {
   const nn::Shape3 in{1, 16, 16};
   nn::Sequential model;
@@ -172,9 +159,10 @@ nn::Sequential vgg16_like_bench_model(Rng& rng) {
   return model;
 }
 
-void sequential_train_step_bench(benchmark::State& state, nn::ConvKernelMode mode) {
+void sequential_train_step_bench(benchmark::State& state, bool naive) {
   Rng rng(5);
   nn::Sequential model = vgg16_like_bench_model(rng);
+  if (naive) model = oracle::with_naive_convs(model);
   const std::size_t batch = 32;
   nn::Matrix x(batch, model.input_size());
   for (double& v : x.data()) v = rng.uniform(0, 1);
@@ -184,25 +172,21 @@ void sequential_train_step_bench(benchmark::State& state, nn::ConvKernelMode mod
   cfg.epochs = 1;
   cfg.batch_size = batch;
   cfg.shuffle = false;
-  nn::Conv2D::set_kernel_mode(mode);
   Rng fit_rng(9);
   model.fit(x, y, cfg, fit_rng);  // warm-up sizes the workspace once
   for (auto _ : state) {
     const auto stats = model.fit(x, y, cfg, fit_rng);
     benchmark::DoNotOptimize(stats.data());
   }
-  nn::Conv2D::set_kernel_mode(nn::ConvKernelMode::kIm2col);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
 
-void BM_SequentialTrainStep(benchmark::State& state) {
-  sequential_train_step_bench(state, nn::ConvKernelMode::kIm2col);
-}
+void BM_SequentialTrainStep(benchmark::State& state) { sequential_train_step_bench(state, false); }
 BENCHMARK(BM_SequentialTrainStep);
 
 void BM_SequentialTrainStepNaive(benchmark::State& state) {
-  sequential_train_step_bench(state, nn::ConvKernelMode::kNaiveReference);
+  sequential_train_step_bench(state, true);
 }
 BENCHMARK(BM_SequentialTrainStepNaive);
 
@@ -614,231 +598,6 @@ void BM_CheckpointLoad(benchmark::State& state) {
                           static_cast<std::int64_t>(image.size()));
 }
 BENCHMARK(BM_CheckpointLoad);
-
-// ---- Multi-tenant service: tenant-count scaling under residency caps ------
-// Drives 8 small tenants × 3 cycles each through the ServiceQueue in
-// interleaved arrival order (docs/TENANCY.md). resident:100 keeps every
-// tenant live (no eviction — pure cross-tenant scheduling cost);
-// resident:25 caps residency at 2, so tenants continuously page out through
-// their generation rings and rehydrate — the ratio between the two is the
-// price of eviction churn, and the rss_mb counter shows the resident-memory
-// ceiling the cap buys. Not speed-gated: churn is *supposed* to be slower.
-
-/// VmRSS from /proc/self/status, in MiB (0 where unsupported).
-double resident_set_mib() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmRSS:") {
-      double kib = 0.0;
-      status >> kib;
-      return kib / 1024.0;
-    }
-    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-  }
-  return 0.0;
-}
-
-void BM_ServiceCycles(benchmark::State& state) {
-  constexpr std::size_t kTenants = 8;
-  constexpr std::size_t kCyclesPerTenant = 3;
-  const auto resident_pct = static_cast<std::size_t>(state.range(0));
-  const std::string root =
-      (std::filesystem::temp_directory_path() / "crowdlearn_bench_service").string();
-
-  auto spec_for = [](std::size_t i) {
-    crowdlearn::service::TenantSpec spec;
-    spec.name = "tenant" + std::to_string(i);
-    spec.experiment.dataset.total_images = 90;
-    spec.experiment.dataset.train_images = 50;
-    spec.experiment.stream.num_cycles = kCyclesPerTenant;
-    spec.experiment.stream.images_per_cycle = 4;
-    spec.experiment.stream.grouped_contexts = false;
-    spec.experiment.pilot.queries_per_cell = 4;
-    spec.experiment.seed = 7100 + i;
-    spec.queries_per_cycle = 2;
-    spec.total_budget_cents = 300.0;
-    spec.committee_factory = [] {
-      experts::BovwConfig fast;
-      fast.train.epochs = 8;
-      fast.train.learning_rate = 0.05;
-      std::vector<std::unique_ptr<experts::DdaAlgorithm>> roster;
-      roster.push_back(std::make_unique<experts::BovwClassifier>(fast));
-      roster.push_back(std::make_unique<experts::BovwClassifier>(fast));
-      return experts::ExpertCommittee(std::move(roster));
-    };
-    return spec;
-  };
-
-  std::size_t evictions = 0;
-  for (auto _ : state) {
-    std::filesystem::remove_all(root);
-    crowdlearn::service::TenantManagerConfig mcfg;
-    mcfg.root_dir = root;
-    mcfg.max_resident = std::max<std::size_t>(1, kTenants * resident_pct / 100);
-    mcfg.num_threads = 4;
-    crowdlearn::service::TenantManager mgr(mcfg);
-    for (std::size_t i = 0; i < kTenants; ++i) mgr.add_tenant(spec_for(i));
-    {
-      crowdlearn::service::ServiceQueue queue(mgr);
-      for (std::size_t c = 0; c < kCyclesPerTenant; ++c)
-        for (std::size_t i = 0; i < kTenants; ++i)
-          queue.submit_cycle("tenant" + std::to_string(i));
-      queue.drain();
-    }
-    evictions = mgr.total_evictions();
-    benchmark::DoNotOptimize(evictions);
-  }
-  state.counters["evictions"] = static_cast<double>(evictions);
-  state.counters["rss_mb"] = resident_set_mib();
-  state.counters["tenants"] = static_cast<double>(kTenants);
-  std::filesystem::remove_all(root);
-}
-BENCHMARK(BM_ServiceCycles)->ArgName("resident")->Arg(100)->Arg(25)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Cross-tenant dedup through the shared artifact cache (docs/CACHING.md):
-// 8 tenants with IDENTICAL specs (clone deployments over the same corpus)
-// run their full streams through the ServiceQueue. cache:0 is the baseline
-// — every tenant trains and retrains from scratch; cache:1 wires a shared
-// ArtifactCache through TenantManagerConfig::cache_dir, so the first tenant
-// computes and the other seven restore its artifacts (hits/misses counters
-// show the dedup). Not speed-gated — the Cold/Warm pair above carries the
-// gated claim; this shows the ratio at service level.
-
-void BM_ServiceCyclesDedup(benchmark::State& state) {
-  constexpr std::size_t kTenants = 8;
-  constexpr std::size_t kCyclesPerTenant = 3;
-  const bool cached = state.range(0) != 0;
-  const std::string root =
-      (std::filesystem::temp_directory_path() / "crowdlearn_bench_dedup").string();
-
-  auto spec_for = [](std::size_t i) {
-    crowdlearn::service::TenantSpec spec;
-    spec.name = "clone" + std::to_string(i);
-    spec.experiment.dataset.total_images = 90;
-    spec.experiment.dataset.train_images = 50;
-    spec.experiment.stream.num_cycles = kCyclesPerTenant;
-    spec.experiment.stream.images_per_cycle = 4;
-    spec.experiment.stream.grouped_contexts = false;
-    spec.experiment.pilot.queries_per_cell = 4;
-    spec.experiment.seed = 7300;  // identical across tenants: clone deployments
-    spec.queries_per_cycle = 2;
-    spec.total_budget_cents = 300.0;
-    spec.committee_factory = [] {
-      experts::BovwConfig fast;
-      fast.train.epochs = 8;
-      fast.train.learning_rate = 0.05;
-      std::vector<std::unique_ptr<experts::DdaAlgorithm>> roster;
-      roster.push_back(std::make_unique<experts::BovwClassifier>(fast));
-      roster.push_back(std::make_unique<experts::BovwClassifier>(fast));
-      return experts::ExpertCommittee(std::move(roster));
-    };
-    return spec;
-  };
-
-  std::uint64_t hits = 0, misses = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::filesystem::remove_all(root);
-    state.ResumeTiming();
-    crowdlearn::service::TenantManagerConfig mcfg;
-    mcfg.root_dir = root + "/tenants";
-    mcfg.num_threads = 4;
-    if (cached) mcfg.cache_dir = root + "/artifacts";
-    crowdlearn::service::TenantManager mgr(mcfg);
-    for (std::size_t i = 0; i < kTenants; ++i) mgr.add_tenant(spec_for(i));
-    {
-      crowdlearn::service::ServiceQueue queue(mgr);
-      for (std::size_t c = 0; c < kCyclesPerTenant; ++c)
-        for (std::size_t i = 0; i < kTenants; ++i)
-          queue.submit_cycle("clone" + std::to_string(i));
-      queue.drain();
-    }
-    if (cached) {
-      const crowdlearn::cache::CacheStats stats = mgr.artifact_cache()->stats();
-      hits = stats.hits;
-      misses = stats.misses;
-    }
-    benchmark::DoNotOptimize(mgr.total_evictions());
-  }
-  state.counters["hits"] = static_cast<double>(hits);
-  state.counters["misses"] = static_cast<double>(misses);
-  state.counters["tenants"] = static_cast<double>(kTenants);
-  std::filesystem::remove_all(root);
-}
-BENCHMARK(BM_ServiceCyclesDedup)->ArgName("cache")->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// ---- Serving throughput through the batch coalescer -----------------------
-// A saturation load of single-image classify requests across 3 warm tenants,
-// driven through the BatchCoalescer front door at max_batch 1, 64 and 1024
-// (docs/SERVING.md). batch:1 is the no-coalescing baseline (one committee
-// call per request); the larger caps show how far amortizing model
-// activation and workspace reshaping over a batch takes request throughput
-// (items/s = requests/s). Not speed-gated: absolute throughput is
-// VM-sensitive — the GEMM pair above carries the gated claim.
-
-void BM_ServeThroughput(benchmark::State& state) {
-  constexpr std::size_t kTenants = 3;
-  constexpr std::size_t kRequests = 512;  // per iteration, round-robin
-  const auto max_batch = static_cast<std::size_t>(state.range(0));
-  const std::string root =
-      (std::filesystem::temp_directory_path() / "crowdlearn_bench_serve").string();
-  std::filesystem::remove_all(root);
-
-  crowdlearn::service::TenantManagerConfig mcfg;
-  mcfg.root_dir = root;
-  mcfg.num_threads = 4;
-  crowdlearn::service::TenantManager mgr(mcfg);
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < kTenants; ++i) {
-    crowdlearn::service::TenantSpec spec;
-    spec.name = "tenant" + std::to_string(i);
-    spec.experiment.dataset.total_images = 90;
-    spec.experiment.dataset.train_images = 50;
-    spec.experiment.stream.num_cycles = 2;
-    spec.experiment.stream.images_per_cycle = 4;
-    spec.experiment.stream.grouped_contexts = false;
-    spec.experiment.pilot.queries_per_cell = 4;
-    spec.experiment.seed = 7200 + i;
-    spec.queries_per_cycle = 2;
-    spec.total_budget_cents = 300.0;
-    spec.committee_factory = [] {
-      experts::BovwConfig fast;
-      fast.train.epochs = 8;
-      fast.train.learning_rate = 0.05;
-      std::vector<std::unique_ptr<experts::DdaAlgorithm>> roster;
-      roster.push_back(std::make_unique<experts::BovwClassifier>(fast));
-      roster.push_back(std::make_unique<experts::BovwClassifier>(fast));
-      return experts::ExpertCommittee(std::move(roster));
-    };
-    mgr.add_tenant(spec);
-    mgr.run_next_cycle(spec.name);  // warm: committee trained, tenant resident
-    names.push_back(spec.name);
-  }
-
-  std::size_t batches = 0;
-  for (auto _ : state) {
-    crowdlearn::service::BatchCoalescerConfig ccfg;
-    ccfg.max_batch_images = max_batch;
-    ccfg.max_linger = std::chrono::milliseconds{0};  // flush-driven, no timer
-    crowdlearn::service::BatchCoalescer coalescer(mgr, ccfg);
-    std::vector<std::future<std::vector<std::size_t>>> futures;
-    futures.reserve(kRequests);
-    for (std::size_t r = 0; r < kRequests; ++r)
-      futures.push_back(coalescer.submit_classify(names[r % kTenants], {r % 90}));
-    coalescer.flush();
-    for (auto& f : futures) benchmark::DoNotOptimize(f.get());
-    batches = coalescer.stats().batches;
-  }
-  state.counters["batches_per_iter"] = static_cast<double>(batches);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kRequests));
-  std::filesystem::remove_all(root);
-}
-BENCHMARK(BM_ServeThroughput)->ArgName("batch")->Arg(1)->Arg(64)->Arg(1024)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -5,23 +5,19 @@
 #
 # Usage: scripts/bench_json.sh [--quick] [--build-dir DIR] [--out FILE]
 #
-# Default (full) mode runs the perf-gate set — conv forward/backward in both
-# kernel modes, the tiled-vs-reference GEMM pair, the VGG16-like Sequential
-# train step, committee inference, the CQC retrain in both GBDT split
-# engines, the artifact-cache cold/warm retrain pair (BM_CqcRetrainCachedCold
-# vs BM_CqcRetrainCachedWarm; docs/CACHING.md), the multi-tenant service
-# scaling pair (BM_ServiceCycles resident:100 vs resident:25, with the
-# resident-memory readout; docs/TENANCY.md), the clone-tenant dedup pair
-# (BM_ServiceCyclesDedup cache:0 vs cache:1) and the serving-throughput
-# sweep (BM_ServeThroughput at batch 1/64/1024 through the coalescer;
-# docs/SERVING.md) — then prints every optimized-over-reference speedup and
-# FAILS if the BM_Conv2DForward, BM_SequentialTrainStep, or
-# BM_CqcRetrainHist/100 speedup drops below the 3x regression gate,
-# BM_GemmTiled/512 below its 2x gate, or BM_CqcRetrainCachedWarm/10 below
-# its 5x warm-over-cold gate (docs/PERFORMANCE.md, docs/GBDT.md,
-# docs/CACHING.md). The service pairs and the throughput sweep are recorded
-# but never speed-gated: eviction churn is supposed to cost, and absolute
-# request throughput is too VM-sensitive to gate.
+# Default (full) mode runs the perf-gate set — conv forward/backward and the
+# VGG16-like Sequential train step on the library and on the naive reference
+# kernels (tests/oracle/), the tiled-vs-reference GEMM pair, committee
+# inference, the CQC retrain in both GBDT split engines, and the
+# artifact-cache cold/warm retrain pair (BM_CqcRetrainCachedCold vs
+# BM_CqcRetrainCachedWarm; docs/CACHING.md) — then prints every
+# optimized-over-reference speedup and FAILS if the BM_Conv2DForward,
+# BM_SequentialTrainStep, or BM_CqcRetrainHist/100 speedup drops below the
+# 3x regression gate, BM_GemmTiled/512 below its 2x gate, or
+# BM_CqcRetrainCachedWarm/10 below its 5x warm-over-cold gate
+# (docs/PERFORMANCE.md, docs/GBDT.md, docs/CACHING.md). Whole-system
+# throughput (service cycles, classify serving) is perfbench's job
+# (perfbench/README.md), not this harness's.
 #
 # Full mode refuses to run against a non-Release bench_micro: the binary
 # publishes its own compile mode in the crowdlearn_build_type JSON context
@@ -29,11 +25,10 @@
 # compile mode, which says nothing about ours), and gating or snapshotting
 # Debug timings would poison the committed baseline.
 #
-# --quick is the CI smoke mode: the cheap conv benchmarks plus the service
-# scaling pair, a short min_time, no speedup gate (shared runners make
-# timing ratios meaningless), any build type allowed, and a separate default
-# output file so the committed snapshot is not clobbered by throwaway
-# numbers.
+# --quick is the CI smoke mode: the cheap conv benchmarks, a short
+# min_time, no speedup gate (shared runners make timing ratios
+# meaningless), any build type allowed, and a separate default output file
+# so the committed snapshot is not clobbered by throwaway numbers.
 #
 # POSIX sh + awk only — no bash-isms, no external deps.
 
@@ -52,7 +47,7 @@ while [ $# -gt 0 ]; do
       [ $# -ge 2 ] || { echo "bench_json.sh: --out needs a value" >&2; exit 2; }
       shift; OUT=$1 ;;
     -h|--help)
-      sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+      sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "bench_json.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -97,11 +92,11 @@ fi
 
 if [ "$QUICK" -eq 1 ]; then
   [ -n "$OUT" ] || OUT=BENCH_micro.quick.json
-  FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive|BM_ServiceCycles'
+  FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive'
   MIN_TIME=--benchmark_min_time=0.02s
 else
   [ -n "$OUT" ] || OUT=BENCH_micro.json
-  FILTER='BM_Conv2D|BM_Gemm|BM_SequentialTrainStep|BM_CommitteeInference|BM_CqcRetrain|BM_ServiceCycles|BM_ServeThroughput'
+  FILTER='BM_Conv2D|BM_Gemm|BM_SequentialTrainStep|BM_CommitteeInference|BM_CqcRetrain'
   MIN_TIME=--benchmark_min_time=0.10s
 fi
 
@@ -114,7 +109,7 @@ echo "bench_json.sh: running $BIN (filter: $FILTER) -> $OUT"
 
 # --- speedup report (and, in full mode, the regression gates) ---------------
 # Four reference pairings: every BM_<X>Naive/<args> with a BM_<X>/<args>
-# sibling (naive kernel over im2col), every BM_CqcRetrainExact/<args> with
+# sibling (naive reference kernels over im2col), every BM_CqcRetrainExact/<args> with
 # its BM_CqcRetrainHist/<args> sibling (exact split engine over the
 # histogram engine), every BM_GemmReference/<args> with its
 # BM_GemmTiled/<args> sibling (row-major reference over the cache-blocked

@@ -35,8 +35,9 @@ for doc in $DOCS; do
   for p in $paths; do
     [ -f "$p" ] || err "$doc references $p, which does not exist"
   done
-  # tests/, bench/, examples/ references too.
-  paths=$(grep -o '\(tests\|bench\|examples\)/[A-Za-z0-9_.]*\.[hc]pp' "$doc" | sort -u)
+  # tests/, bench/, examples/ references too, nested directories included
+  # (tests/oracle/...).
+  paths=$(grep -o '\(tests\|bench\|examples\)/[A-Za-z0-9_./]*\.[hc]pp' "$doc" | sort -u)
   for p in $paths; do
     [ -f "$p" ] || err "$doc references $p, which does not exist"
   done
@@ -112,7 +113,7 @@ done
 [ -f scripts/bench_json.sh ] || err "missing scripts/bench_json.sh (docs/PERFORMANCE.md documents it)"
 [ -x scripts/bench_json.sh ] || err "scripts/bench_json.sh is not executable"
 if [ -f BENCH_micro.json ]; then
-  for b in BM_Conv2DForward BM_SequentialTrainStep BM_CqcRetrainHist BM_CqcRetrainExact BM_ServiceCycles BM_ServiceCyclesDedup BM_GemmTiled BM_GemmReference BM_ServeThroughput BM_CqcRetrainCachedCold BM_CqcRetrainCachedWarm; do
+  for b in BM_Conv2DForward BM_SequentialTrainStep BM_CqcRetrainHist BM_CqcRetrainExact BM_GemmTiled BM_GemmReference BM_CqcRetrainCachedCold BM_CqcRetrainCachedWarm; do
     grep -q "\"name\": \"$b" BENCH_micro.json \
       || err "BENCH_micro.json does not record $b (rerun scripts/bench_json.sh)"
   done
@@ -122,25 +123,20 @@ fi
 
 # --- 7. multi-tenant service docs stay wired ---------------------------------
 # docs/TENANCY.md documents the src/service layer; the README must link it so
-# readers can find the tenancy contract, and the service scaling benchmark
-# pair must be named in docs/PERFORMANCE.md next to the other bench names.
+# readers can find the tenancy contract.
 grep -q "docs/TENANCY.md" README.md \
   || err "README.md does not link docs/TENANCY.md"
-if [ -f docs/PERFORMANCE.md ]; then
-  grep -q "BM_ServiceCycles" docs/PERFORMANCE.md \
-    || err "docs/PERFORMANCE.md does not mention BM_ServiceCycles (service scaling pair)"
-fi
 
 # --- 8. serving docs stay wired ----------------------------------------------
 # docs/SERVING.md documents the batch coalescer (src/service/coalescer.*); the
-# README must link it, and the GEMM pair plus the serving-throughput sweep
-# must be named in docs/PERFORMANCE.md next to the other bench names.
+# README must link it, and the GEMM pair must be named in docs/PERFORMANCE.md
+# next to the other bench names.
 grep -q "docs/SERVING.md" README.md \
   || err "README.md does not link docs/SERVING.md"
 if [ -f docs/PERFORMANCE.md ]; then
-  for b in BM_GemmTiled BM_GemmReference BM_ServeThroughput; do
+  for b in BM_GemmTiled BM_GemmReference; do
     grep -q "$b" docs/PERFORMANCE.md \
-      || err "docs/PERFORMANCE.md does not mention $b (serving/GEMM pair)"
+      || err "docs/PERFORMANCE.md does not mention $b (GEMM pair)"
   done
 fi
 
@@ -155,7 +151,7 @@ for doc in README.md docs/ARCHITECTURE.md docs/TENANCY.md; do
     || err "$doc does not link docs/CACHING.md"
 done
 if [ -f docs/PERFORMANCE.md ]; then
-  for b in BM_CqcRetrainCachedCold BM_CqcRetrainCachedWarm BM_ServiceCyclesDedup; do
+  for b in BM_CqcRetrainCachedCold BM_CqcRetrainCachedWarm; do
     grep -q "$b" docs/PERFORMANCE.md \
       || err "docs/PERFORMANCE.md does not mention $b (artifact-cache pair)"
   done
@@ -168,6 +164,15 @@ fi
 [ -x scripts/crash_drill.sh ] || err "scripts/crash_drill.sh is not executable"
 grep -q "crash_drill" CMakeLists.txt \
   || err "crash_drill is not wired as a ctest in the root CMakeLists.txt"
+
+# --- 11. reference kernels stay out of the library ---------------------------
+# The naive conv kernels and the reference GEMM live in the test/bench-only
+# oracle target (tests/oracle/); the library has one kernel path per NN op and
+# no process-global kernel toggle. Nothing under src/ may include an oracle
+# header or bring a toggle back.
+if grep -rnE '#include[[:space:]]*"oracle/|ConvKernelMode|GemmKernel|set_kernel_mode|set_gemm_kernel' src/ >&2; then
+  err "src/ includes a tests/oracle header or names a kernel toggle (lines above)"
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

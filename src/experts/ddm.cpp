@@ -39,8 +39,9 @@ nn::Sequential DdmClassifier::build_model(Rng& rng) {
 }
 
 void DdmClassifier::on_model_loaded() {
-  // Grad-CAM attaches to the last convolutional layer; relocate it in the
-  // freshly loaded network.
+  // Grad-CAM attaches to the last convolutional layer and reads its
+  // activations from the ReLU right above it; relocate it in the freshly
+  // loaded network.
   bool found = false;
   for (std::size_t i = 0; i < model_.num_layers(); ++i) {
     if (dynamic_cast<nn::Conv2D*>(&model_.layer(i)) != nullptr) {
@@ -50,6 +51,9 @@ void DdmClassifier::on_model_loaded() {
   }
   if (!found)
     throw std::runtime_error("DdmClassifier: loaded model has no convolutional layer");
+  if (conv2_index_ + 1 >= model_.num_layers() ||
+      dynamic_cast<nn::ReLU*>(&model_.layer(conv2_index_ + 1)) == nullptr)
+    throw std::runtime_error("DdmClassifier: loaded model has no ReLU after its last conv layer");
 }
 
 void DdmClassifier::hash_spec(ckpt::Hasher128& h) const {
@@ -94,7 +98,9 @@ nn::Tensor3 DdmClassifier::grad_cam(std::size_t cls) {
   const auto& conv = dynamic_cast<const nn::Conv2D&>(model_.layer(conv2_index_));
   const nn::Shape3& sh = conv.out_shape();
   const std::size_t hw = sh.height * sh.width;
-  const double* act = conv.last_activations().data().data();  // sample 0
+  // conv2's output, sample 0: the ReLU above it keeps an exact copy.
+  const auto& relu = dynamic_cast<const nn::ReLU&>(model_.layer(conv2_index_ + 1));
+  const double* act = relu.last_input().data().data();
 
   // d(score_cls) / d(conv2 output): input gradients through every layer
   // above conv2, from the caches the forward left.

@@ -67,8 +67,8 @@ class DdmClassifier : public NeuralDdaAlgorithm {
   std::size_t conv2_index_ = 0;  ///< layer index of the Grad-CAM conv layer
 
   /// Grad-CAM of class `cls` from the state the latest 1-row inference
-  /// forward left in the layers (the conv activations, the ReLU input caches
-  /// and the MaxPool argmax), shaped 1 x H x W.
+  /// forward left in the layers (the ReLU input caches, among them the CAM
+  /// conv's activations, and the MaxPool argmax), shaped 1 x H x W.
   nn::Tensor3 grad_cam(std::size_t cls);
 
   /// One-hot-ish severity prior from the activated area of the severe-class

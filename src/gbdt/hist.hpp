@@ -27,8 +27,9 @@
 namespace crowdlearn::gbdt {
 
 /// Which split search a Gbdt fit runs. Histogram is the production default;
-/// the exact engine is retained as the differential-testing reference, the
-/// same pattern as nn::ConvKernelMode::kNaiveReference.
+/// the exact engine is retained as the differential-testing reference. The
+/// engine is part of the fitted model's checkpoint section, so unlike the
+/// NN reference kernels (tests/oracle/) it stays in the library.
 enum class SplitEngine : std::uint8_t {
   kHistogram = 0,
   kExactReference = 1,

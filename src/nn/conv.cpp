@@ -1,7 +1,6 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,8 +11,6 @@
 namespace crowdlearn::nn {
 
 namespace {
-
-std::atomic<ConvKernelMode> g_kernel_mode{ConvKernelMode::kIm2col};
 
 /// Static-chunk [0, n) over the pool (serial when null/single-threaded),
 /// each chunk carrying at least ThreadPool::kMinChunkWork operations given
@@ -32,14 +29,6 @@ void run_chunks(util::ThreadPool* pool, std::size_t n, std::size_t work_per_item
 }
 
 }  // namespace
-
-void Conv2D::set_kernel_mode(ConvKernelMode m) {
-  g_kernel_mode.store(m, std::memory_order_relaxed);
-}
-
-ConvKernelMode Conv2D::kernel_mode() {
-  return g_kernel_mode.load(std::memory_order_relaxed);
-}
 
 Conv2D::Conv2D(Shape3 input_shape, std::size_t out_channels, std::size_t kernel, Rng& rng)
     : in_shape_(input_shape),
@@ -68,10 +57,7 @@ Conv2D::Conv2D(const Conv2D& o)
       w_(o.w_),
       b_(o.b_),
       dw_(o.dw_),
-      db_(o.db_),
-      cached_input_(o.cached_input_),
-      cached_output_(o.cached_output_),
-      last_mode_(o.last_mode_) {}
+      db_(o.db_) {}
 
 Conv2D::~Conv2D() = default;
 
@@ -98,36 +84,13 @@ void Conv2D::forward_into(const Matrix& input, Matrix& out, bool training) {
   if (input.cols() != in_shape_.size())
     throw std::invalid_argument("Conv2D::forward: input width mismatch");
 #ifndef NDEBUG
-  // The zero-skips in both kernel flavors drop 0*inf = NaN terms, which is
-  // only sound when inputs and parameters are finite (see docs/PERFORMANCE.md
-  // and tests/test_nn_kernels.cpp, which pin these semantics).
+  // The zero-skips drop 0*inf = NaN terms, which is only sound when inputs
+  // and parameters are finite (see docs/PERFORMANCE.md and
+  // tests/test_nn_kernels.cpp, which pin these semantics).
   input.debug_check_finite("Conv2D input");
   w_.debug_check_finite("Conv2D weights");
   b_.debug_check_finite("Conv2D bias");
 #endif
-  const ConvKernelMode mode = kernel_mode();
-  last_mode_ = mode;
-  if (mode == ConvKernelMode::kNaiveReference) {
-    // The training flag gates the backward state: inference forwards skip
-    // the full input copy the original implementation always paid.
-    cached_input_ = training ? input : Matrix();
-    have_fwd_state_ = false;
-    out.reshape(input.rows(), out_shape_.size());
-    kernels::naive_conv2d_forward(geometry(), w_, b_, input, out);
-  } else {
-    forward_im2col(input, out, training);
-  }
-  // Grad-CAM reads the activation after an inference forward. A training
-  // forward skips the copy and clears the cache (capacity kept), so a stale
-  // map is never served.
-  if (training) {
-    cached_output_.reshape(0, 0);
-  } else {
-    cached_output_ = out;
-  }
-}
-
-void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   Workspace& ws = scratch();
   util::ThreadPool* pool = ws.pool();
   const std::size_t batch = input.rows();
@@ -160,24 +123,17 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   // input the weight gradient needs, so no separate input copy is kept.
   have_fwd_state_ = training;
   fwd_batch_ = batch;
-  cached_input_ = Matrix();
 }
 
 void Conv2D::check_backward_state(const Matrix& grad_output) const {
-  const bool naive = last_mode_ == ConvKernelMode::kNaiveReference;
-  if (naive ? cached_input_.empty() : !have_fwd_state_)
+  if (!have_fwd_state_)
     throw std::logic_error("Conv2D::backward before forward (training pass required)");
-  const std::size_t batch = naive ? cached_input_.rows() : fwd_batch_;
-  if (grad_output.rows() != batch || grad_output.cols() != out_shape_.size())
+  if (grad_output.rows() != fwd_batch_ || grad_output.cols() != out_shape_.size())
     throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
 }
 
 void Conv2D::backward_params(const Matrix& grad_output) {
   check_backward_state(grad_output);
-  if (last_mode_ == ConvKernelMode::kNaiveReference) {
-    kernels::naive_conv2d_weight_grad(geometry(), cached_input_, grad_output, dw_, db_);
-    return;
-  }
   Workspace& ws = scratch();
   const std::size_t batch = fwd_batch_;
   const std::size_t hw = out_shape_.height * out_shape_.width;
@@ -219,74 +175,25 @@ void Conv2D::backward_params(const Matrix& grad_output) {
 void Conv2D::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   check_backward_state(grad_output);
   const std::size_t batch = grad_output.rows();
-  grad_input.reshape(batch, in_shape_.size());
-  const kernels::ConvGeometry g = geometry();
-  if (last_mode_ == ConvKernelMode::kNaiveReference) {
-    kernels::naive_conv2d_grad_input(g, w_, grad_output, grad_input);
-    return;
-  }
-  Workspace& ws = scratch();
-  util::ThreadPool* pool = ws.pool();
+  const std::size_t in_size = in_shape_.size();
   const std::size_t hw = out_shape_.height * out_shape_.width;
-  const std::size_t ic_n = in_shape_.channels;
-  const std::size_t oc_n = out_shape_.channels;
-  const std::size_t k2 = k_ * k_;
-
-  // Input gradient: both routes below produce byte-identical doubles — per
-  // target element the terms arrive (oc, source y, source x) ascending with
-  // the same zero-grad skip set — so the choice is pure performance. Training
-  // gradients behind a ReLU/MaxPool are mostly zeros, where the scatter
-  // kernel's `grad == 0.0` skip beats materializing the gradient im2col
-  // panel; dense gradients amortize better through the GEMM. The density is
-  // a pure function of the data, so the route (and the bits) never depend on
-  // thread count.
-  std::size_t nonzero = 0;
-  for (double v : grad_output.data()) nonzero += (v != 0.0) ? 1 : 0;
-  const bool sparse = nonzero * 4 < grad_output.data().size();  // < 25 % nonzero
-  if (sparse) {
-    const std::size_t in_size = in_shape_.size();
-    run_chunks(pool, batch, hw * oc_n * k2 * ic_n, [&](std::size_t sb, std::size_t se) {
-      std::fill(grad_input.data().begin() + static_cast<std::ptrdiff_t>(sb * in_size),
-                grad_input.data().begin() + static_cast<std::ptrdiff_t>(se * in_size), 0.0);
-      kernels::conv2d_grad_input_scatter(g, w_, grad_output, grad_input, sb, se);
-    });
-    return;
-  }
-
-  // Dense route — a transposed convolution: im2col the *gradient* over the
-  // output geometry, multiply by the flipped-kernel weight layout. The GEMM
-  // reduction ascends (oc, ky, kx) = (oc, source y, source x), and the
-  // `a == 0.0` skip covers both the naive `g == 0.0` skip and its bounds
-  // `continue`.
-  Matrix& gcols = ws.buffer(layer_id_, 3, batch * hw, oc_n * k2);
-  Matrix& w2 = ws.buffer(layer_id_, 4, oc_n * k2, ic_n);
-  Matrix& gim = ws.buffer(layer_id_, 5, batch * hw, ic_n);
-  run_chunks(pool, batch, hw * oc_n * k2, [&](std::size_t sb, std::size_t se) {
-    kernels::im2col_rows(grad_output, out_shape_, k_, pad_, gcols, sb, se);
-  });
-  kernels::flipped_weights(g, w_, w2);
-  run_chunks(pool, batch * hw, oc_n * k2 * ic_n, [&](std::size_t rb, std::size_t re) {
-    gcols.matmul_rows_into(w2, gim, rb, re);
-  });
-  run_chunks(pool, batch, hw * ic_n, [&](std::size_t sb, std::size_t se) {
-    kernels::scatter_channel_major(gim, grad_input, ic_n, hw, sb, se);
+  const std::size_t work = hw * out_shape_.channels * k_ * k_ * in_shape_.channels;
+  grad_input.reshape(batch, in_size);
+  const kernels::ConvGeometry g = geometry();
+  // Input gradient: for each nonzero output gradient, scatter g * w over its
+  // in-bounds window. Per target element the terms arrive (oc, source y,
+  // source x) ascending with the naive `grad == 0.0` skip, so the bits are
+  // the naive kernel's. Training gradients reach a conv through ReLU and
+  // MaxPool, so most are zeros and the skip does most of the work.
+  run_chunks(scratch().pool(), batch, work, [&](std::size_t sb, std::size_t se) {
+    std::fill(grad_input.data().begin() + static_cast<std::ptrdiff_t>(sb * in_size),
+              grad_input.data().begin() + static_cast<std::ptrdiff_t>(se * in_size), 0.0);
+    kernels::conv2d_grad_input_scatter(g, w_, grad_output, grad_input, sb, se);
   });
 }
 
 std::vector<Param> Conv2D::params() {
   return {{&w_, &dw_, "Conv2D.W"}, {&b_, &db_, "Conv2D.b"}};
-}
-
-const Matrix& Conv2D::last_activations() const {
-  if (cached_output_.empty())
-    throw std::logic_error("Conv2D::last_activations: no cached inference forward");
-  return cached_output_;
-}
-
-Tensor3 Conv2D::last_activation(std::size_t sample) const {
-  if (cached_output_.empty() || sample >= cached_output_.rows())
-    throw std::logic_error("Conv2D::last_activation: no cached forward pass for sample");
-  return Tensor3(out_shape_, cached_output_.row(sample));
 }
 
 MaxPool2D::MaxPool2D(Shape3 input_shape)

@@ -13,24 +13,16 @@ namespace crowdlearn::nn {
 
 class Workspace;
 
-/// Which convolution kernels Conv2D routes through. kIm2col (the default)
-/// lowers to order-preserving GEMM calls over workspace buffers;
-/// kNaiveReference is the original 7-deep loop, retained for the
-/// equivalence tests and the perf-regression baseline benchmarks. The two
-/// produce byte-identical outputs (tests/test_nn_kernels.cpp).
-enum class ConvKernelMode { kIm2col, kNaiveReference };
-
 /// 2-D convolution with square kernels, stride 1 and zero "same" padding so
 /// the spatial dimensions are preserved. The compute path is im2col + GEMM
-/// over reusable workspace buffers (see docs/PERFORMANCE.md); the original
-/// naive kernels survive behind ConvKernelMode::kNaiveReference.
+/// over reusable workspace buffers (see docs/PERFORMANCE.md), bit-identical
+/// to the naive reference kernels in tests/oracle/naive_conv.hpp.
 class Conv2D : public Layer {
  public:
   Conv2D(Shape3 input_shape, std::size_t out_channels, std::size_t kernel, Rng& rng);
-  /// Copies learned state and the Grad-CAM activation cache; the workspace
-  /// binding and retained backward scratch stay with the original
-  /// (Sequential::clone rebinds its copies; backward on a fresh copy
-  /// requires a fresh forward(training=true)).
+  /// Copies learned state; the workspace binding and retained backward
+  /// scratch stay with the original (Sequential::clone rebinds its copies;
+  /// backward on a fresh copy requires a fresh forward(training=true)).
   Conv2D(const Conv2D& o);
   Conv2D& operator=(const Conv2D&) = delete;
   // Out-of-line so unique_ptr<Workspace> can be destroyed where Workspace
@@ -39,8 +31,8 @@ class Conv2D : public Layer {
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
-  /// Both backward halves need a training forward (the im2col panel, or the
-  /// input copy in naive mode); after an inference forward they throw.
+  /// Both backward halves need a training forward (its retained im2col
+  /// panel); after an inference forward they throw.
   void backward_input(const Matrix& grad_output, Matrix& grad_input) override;
   void backward_params(const Matrix& grad_output) override;
   void bind_workspace(Workspace* ws, std::size_t layer_id) override;
@@ -60,19 +52,6 @@ class Conv2D : public Layer {
   const Matrix& bias() const { return b_; }
   Matrix& bias() { return b_; }
 
-  /// Activations of the most recent forward pass, one row per sample — the
-  /// DDM expert's Grad-CAM reads them. Only inference forwards keep them
-  /// (training forwards skip the copy and clear it), the mirror image of the
-  /// backward scratch; throws std::logic_error when none are cached.
-  const Matrix& last_activations() const;
-  /// One sample of last_activations() as a Tensor3.
-  Tensor3 last_activation(std::size_t sample) const;
-
-  /// Process-wide kernel selector for tests and benchmarks. Not for use
-  /// while forward/backward passes are in flight on other threads.
-  static void set_kernel_mode(ConvKernelMode m);
-  static ConvKernelMode kernel_mode();
-
  private:
   Shape3 in_shape_, out_shape_;
   std::size_t k_;    // kernel side
@@ -80,18 +59,14 @@ class Conv2D : public Layer {
   Matrix w_;         // (out_c, in_c * k * k)
   Matrix b_;         // (1, out_c)
   Matrix dw_, db_;
-  Matrix cached_input_;   // naive mode only, and only when training
-  Matrix cached_output_;  // Grad-CAM source; inference forwards only
   Workspace* ws_ = nullptr;            ///< not owned; bound by Sequential
   std::unique_ptr<Workspace> own_ws_;  ///< lazy fallback for standalone use
   std::size_t layer_id_ = 0;
   bool have_fwd_state_ = false;  ///< im2col cols retained for backward?
   std::size_t fwd_batch_ = 0;
-  ConvKernelMode last_mode_ = ConvKernelMode::kIm2col;  ///< mode of last forward
 
   kernels::ConvGeometry geometry() const { return {in_shape_, out_shape_, k_, pad_}; }
   Workspace& scratch();
-  void forward_im2col(const Matrix& input, Matrix& out, bool training);
   void check_backward_state(const Matrix& grad_output) const;
 };
 

@@ -4,104 +4,6 @@
 
 namespace crowdlearn::nn::kernels {
 
-namespace {
-
-/// Zero-padded element read shared by the naive kernels (the original
-/// Conv2D::input_at, hoisted out of the class).
-double input_at(const Matrix& batch, const Shape3& shape, std::size_t sample, std::size_t c,
-                long y, long x) {
-  if (y < 0 || x < 0 || y >= static_cast<long>(shape.height) ||
-      x >= static_cast<long>(shape.width))
-    return 0.0;  // zero padding
-  const std::size_t flat =
-      shape.flat(c, static_cast<std::size_t>(y), static_cast<std::size_t>(x));
-  return batch(sample, flat);
-}
-
-}  // namespace
-
-void naive_conv2d_forward(const ConvGeometry& g, const Matrix& w, const Matrix& b,
-                          const Matrix& input, Matrix& out) {
-  const std::size_t batch = input.rows();
-  for (std::size_t s = 0; s < batch; ++s) {
-    for (std::size_t oc = 0; oc < g.out.channels; ++oc) {
-      for (std::size_t y = 0; y < g.out.height; ++y) {
-        for (std::size_t x = 0; x < g.out.width; ++x) {
-          double acc = b(0, oc);
-          for (std::size_t ic = 0; ic < g.in.channels; ++ic) {
-            for (std::size_t ky = 0; ky < g.k; ++ky) {
-              for (std::size_t kx = 0; kx < g.k; ++kx) {
-                const long iy = static_cast<long>(y + ky) - static_cast<long>(g.pad);
-                const long ix = static_cast<long>(x + kx) - static_cast<long>(g.pad);
-                const double v = input_at(input, g.in, s, ic, iy, ix);
-                if (v != 0.0) acc += v * w(oc, (ic * g.k + ky) * g.k + kx);
-              }
-            }
-          }
-          out(s, g.out.flat(oc, y, x)) = acc;
-        }
-      }
-    }
-  }
-}
-
-namespace {
-
-/// The naive backward visit: every in-bounds (sample, oc, y, x, ic, ky, kx)
-/// tap with a nonzero output gradient, in that nesting order. The two
-/// reference gradients below differ only in the target each tap updates;
-/// `on_grad(oc, grad)` runs once per nonzero gradient before its taps.
-template <typename OnGrad, typename OnTap>
-void naive_backward_taps(const ConvGeometry& g, const Matrix& grad_output, OnGrad&& on_grad,
-                         OnTap&& on_tap) {
-  for (std::size_t s = 0; s < grad_output.rows(); ++s) {
-    for (std::size_t oc = 0; oc < g.out.channels; ++oc) {
-      for (std::size_t y = 0; y < g.out.height; ++y) {
-        for (std::size_t x = 0; x < g.out.width; ++x) {
-          const double grad = grad_output(s, g.out.flat(oc, y, x));
-          if (grad == 0.0) continue;
-          on_grad(oc, grad);
-          for (std::size_t ic = 0; ic < g.in.channels; ++ic) {
-            for (std::size_t ky = 0; ky < g.k; ++ky) {
-              for (std::size_t kx = 0; kx < g.k; ++kx) {
-                const long iy = static_cast<long>(y + ky) - static_cast<long>(g.pad);
-                const long ix = static_cast<long>(x + kx) - static_cast<long>(g.pad);
-                if (iy < 0 || ix < 0 || iy >= static_cast<long>(g.in.height) ||
-                    ix >= static_cast<long>(g.in.width))
-                  continue;
-                const std::size_t in_flat = g.in.flat(ic, static_cast<std::size_t>(iy),
-                                                      static_cast<std::size_t>(ix));
-                on_tap(s, oc, in_flat, (ic * g.k + ky) * g.k + kx, grad);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void naive_conv2d_weight_grad(const ConvGeometry& g, const Matrix& cached_input,
-                              const Matrix& grad_output, Matrix& dw, Matrix& db) {
-  naive_backward_taps(
-      g, grad_output, [&](std::size_t oc, double grad) { db(0, oc) += grad; },
-      [&](std::size_t s, std::size_t oc, std::size_t in_flat, std::size_t w_col, double grad) {
-        dw(oc, w_col) += grad * cached_input(s, in_flat);
-      });
-}
-
-void naive_conv2d_grad_input(const ConvGeometry& g, const Matrix& w, const Matrix& grad_output,
-                             Matrix& grad_input) {
-  grad_input.fill(0.0);
-  naive_backward_taps(
-      g, grad_output, [](std::size_t, double) {},
-      [&](std::size_t s, std::size_t oc, std::size_t in_flat, std::size_t w_col, double grad) {
-        grad_input(s, in_flat) += grad * w(oc, w_col);
-      });
-}
-
 void im2col_rows(const Matrix& src, const Shape3& shape, std::size_t k, std::size_t pad,
                  Matrix& cols, std::size_t sample_begin, std::size_t sample_end) {
   const std::size_t H = shape.height, W = shape.width, C = shape.channels;
@@ -139,21 +41,6 @@ void transpose_weights(const Matrix& w, Matrix& wt) {
   for (std::size_t r = 0; r < w.rows(); ++r) {
     const double* wrow = &w.data()[r * w.cols()];
     for (std::size_t c = 0; c < w.cols(); ++c) wt.data()[c * wt.cols() + r] = wrow[c];
-  }
-}
-
-void flipped_weights(const ConvGeometry& g, const Matrix& w, Matrix& w2) {
-  const std::size_t k = g.k;
-  for (std::size_t oc = 0; oc < g.out.channels; ++oc) {
-    const double* wrow = &w.data()[oc * w.cols()];
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        double* dst = &w2.data()[((oc * k + ky) * k + kx) * w2.cols()];
-        const std::size_t src_off = (k - 1 - ky) * k + (k - 1 - kx);
-        for (std::size_t ic = 0; ic < g.in.channels; ++ic)
-          dst[ic] = wrow[ic * k * k + src_off];
-      }
-    }
   }
 }
 

@@ -1,13 +1,14 @@
 #pragma once
-// Shared body of the cache-blocked GEMM kernel (GemmKernel::kTiled). This
+// Shared body of the cache-blocked GEMM kernel behind Matrix::matmul. This
 // header is compiled into two translation units — gemm_tiled_generic.cpp
 // (portable baseline ISA) and gemm_tiled_avx512.cpp (wider vectors, built
 // only when the compiler supports -mavx512f) — and Matrix picks one at
 // runtime. The ISA split lives at the TU boundary, not in a target
 // attribute, because GCC's target("avx512f") quietly licenses FMA
 // contraction, and a fused multiply-add rounds once where the contract
-// requires twice: the bits would drift from the reference kernel. The
-// AVX-512 TU is therefore compiled with -ffp-contract=off.
+// requires twice: the bits would drift from the reference loop
+// (tests/oracle/reference_gemm.hpp). The AVX-512 TU is therefore compiled
+// with -ffp-contract=off.
 //
 // The blocking is order-preserving. Per output element out(i,j) the
 // contract (see Matrix::matmul_rows_into) is: products accumulate in
@@ -99,8 +100,8 @@ inline void gemm_panel_rows(const double* a, const double* b, double* out, std::
 }
 
 // Accumulate out[rb..re) += a[rb..re) * b for an (m x k_dim) * (k_dim x p)
-// product, cache-blocked. Caller has already validated shapes, rejected
-// degenerate extents, and peeled the p == 1 fast path.
+// product, cache-blocked. Caller has already validated shapes and rejected
+// degenerate extents.
 inline void gemm_tiled_rows(const double* a, const double* b, double* out, std::size_t row_begin,
                             std::size_t row_end, std::size_t k_dim, std::size_t p) {
   for (std::size_t jj = 0; jj < p; jj += kTileJ) {

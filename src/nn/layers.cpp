@@ -180,6 +180,11 @@ void ReLU::backward_input(const Matrix& grad_output, Matrix& grad_input) {
                  });
 }
 
+const Matrix& ReLU::last_input() const {
+  if (cached_input_.empty()) throw std::logic_error("ReLU::last_input before forward");
+  return cached_input_;
+}
+
 Matrix Tanh::forward(const Matrix& input, bool training) {
   Matrix out;
   forward_into(input, out, training);
@@ -190,14 +195,14 @@ void Tanh::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   out.reshape(input.rows(), input.cols());
   for (std::size_t i = 0; i < input.data().size(); ++i)
     out.data()[i] = std::tanh(input.data()[i]);
-  cached_output_ = out;
+  output_copy_ = out;
 }
 
 void Tanh::backward_input(const Matrix& grad_output, Matrix& grad_input) {
-  if (cached_output_.empty()) throw std::logic_error("Tanh::backward before forward");
+  if (output_copy_.empty()) throw std::logic_error("Tanh::backward before forward");
   grad_input = grad_output;
   for (std::size_t i = 0; i < grad_input.data().size(); ++i) {
-    const double y = cached_output_.data()[i];
+    const double y = output_copy_.data()[i];
     grad_input.data()[i] *= (1.0 - y * y);
   }
 }

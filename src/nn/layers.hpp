@@ -142,6 +142,11 @@ class ReLU : public Layer {
   std::string name() const override { return "ReLU"; }
   std::unique_ptr<Layer> clone() const override { return std::make_unique<ReLU>(*this); }
 
+  /// Input of the latest forward, training or inference, one row per sample:
+  /// bit for bit the output of the layer below. DDM's Grad-CAM reads its CAM
+  /// conv's activations here. Throws std::logic_error before any forward.
+  const Matrix& last_input() const;
+
  private:
   std::size_t size_;
   Matrix cached_input_;
@@ -163,7 +168,7 @@ class Tanh : public Layer {
 
  private:
   std::size_t size_;
-  Matrix cached_output_;
+  Matrix output_copy_;
 };
 
 /// Inverted dropout: active only when training; scales kept activations by

@@ -1,23 +1,18 @@
 #pragma once
 // Dense row-major matrix of doubles — the numeric workhorse for the
 // from-scratch neural-network library. Sized for the small models this
-// reproduction trains (16x16 inputs, tiny CNN/MLPs), so clarity is favored
-// over blocking/vectorization tricks.
+// reproduction trains (16x16 inputs, tiny CNN/MLPs). The matmul family runs
+// on one kernel, the cache-blocked GEMM in nn/gemm_tiled.hpp; it is
+// order-preserving — every out(i,j) receives its products in ascending-k
+// order with the `a == 0.0` left-operand skip — so it is bit-identical to
+// the row-major reference loop in tests/oracle/reference_gemm.hpp
+// (tests/test_gemm_tiled.cpp).
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
 namespace crowdlearn::nn {
-
-/// Which GEMM kernel backs the matmul family. kTiled (the default) is the
-/// cache-blocked kernel that carries serving-scale batches;
-/// kRowMajorReference is the original i-k-j loop, retained as the readable
-/// spec and the differential-test / perf-regression baseline. The tiling is
-/// order-preserving — every out(i,j) still receives its products in
-/// ascending-k order, with the same zero-skip — so the two kernels produce
-/// byte-identical outputs (tests/test_gemm_tiled.cpp).
-enum class GemmKernel { kTiled, kRowMajorReference };
 
 class Matrix {
  public:
@@ -67,12 +62,6 @@ class Matrix {
   /// bias first, then ascending-k products (the naive convolution order).
   void matmul_rows_accumulate(const Matrix& other, Matrix& out, std::size_t row_begin,
                               std::size_t row_end) const;
-
-  /// Process-wide GEMM kernel selector for tests and benchmarks — mirrors
-  /// Conv2D::set_kernel_mode. Not for use while matmuls are in flight on
-  /// other threads.
-  static void set_gemm_kernel(GemmKernel k);
-  static GemmKernel gemm_kernel();
 
   /// Throw std::domain_error if any entry is non-finite. The matmul kernels
   /// skip zero left operands, which silently drops 0*inf = NaN propagation —

@@ -111,16 +111,19 @@ TEST(Conv2D, BackwardAfterInferenceForwardThrows) {
   EXPECT_NO_THROW(conv.backward(yt));
 }
 
-TEST(Conv2D, LastActivationExposesForwardOutput) {
+TEST(ReLU, LastInputExposesConvOutput) {
+  // Grad-CAM reads a conv's activations from the ReLU right above it.
   Rng rng(4);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
+  ReLU relu(conv.output_size());
+  EXPECT_THROW(relu.last_input(), std::logic_error);
   const Matrix x = random_matrix(3, 16, rng);
   const Matrix y = conv.forward(x, false);
-  const Tensor3 act = conv.last_activation(1);
-  EXPECT_EQ(act.shape(), conv.out_shape());
-  for (std::size_t i = 0; i < act.size(); ++i)
-    EXPECT_DOUBLE_EQ(act.data()[i], y(1, i));
-  EXPECT_THROW(conv.last_activation(3), std::logic_error);
+  relu.forward(y, false);
+  const Matrix& act = relu.last_input();
+  ASSERT_EQ(act.rows(), 3u);
+  ASSERT_EQ(act.cols(), conv.output_size());
+  for (std::size_t i = 0; i < act.size(); ++i) EXPECT_EQ(act.data()[i], y.data()[i]);
 }
 
 TEST(MaxPool2D, ForwardPicksMaxima) {

@@ -48,15 +48,20 @@ nn::Matrix input_row(nn::Sequential& model, const dataset::DisasterImage& image)
   return x;
 }
 
-/// The two-pass Grad-CAM: a fresh inference forward, then the full backward
-/// (parameter gradients included, cleared afterwards) above the CAM layer.
+/// The two-pass Grad-CAM: a fresh inference forward chained layer by layer,
+/// keeping the CAM layer's output, then the full backward (parameter
+/// gradients included, cleared afterwards) above the CAM layer.
 nn::Tensor3 reference_heatmap(nn::Sequential& model, const dataset::DisasterImage& image,
                               std::size_t cls) {
-  model.forward(input_row(model, image), /*training=*/false);
   const std::size_t conv_idx = cam_layer(model);
-  const nn::Tensor3 act =
-      dynamic_cast<nn::Conv2D&>(model.layer(conv_idx)).last_activation(0);
-  const nn::Shape3& sh = act.shape();
+  nn::Matrix x = input_row(model, image);
+  nn::Matrix conv_out;
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    x = model.layer(i).forward(x, /*training=*/false);
+    if (i == conv_idx) conv_out = x;
+  }
+  const nn::Shape3 sh = dynamic_cast<nn::Conv2D&>(model.layer(conv_idx)).out_shape();
+  const nn::Tensor3 act(sh, conv_out.row(0));
   nn::Matrix grad(1, dataset::kNumSeverityClasses);
   grad(0, cls) = 1.0;
   for (std::size_t i = model.num_layers(); i-- > conv_idx + 1;)

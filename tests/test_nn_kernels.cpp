@@ -1,10 +1,13 @@
 // Bitwise-equivalence and steady-state-allocation tests for the im2col+GEMM
-// convolution path (PR: NN compute-path rebuild). The contract under test:
+// convolution path. The contract under test:
 //
-//   1. ConvKernelMode::kIm2col produces byte-identical doubles to
-//      kNaiveReference — forward, grad_input, dw and db — at any kernel
-//      size, batch size and thread count. The GEMM reduction replays the
-//      naive accumulation order term for term (see nn/conv_kernels.hpp).
+//   1. Conv2D produces byte-identical doubles to the naive reference kernels
+//      (tests/oracle/naive_conv.hpp) — forward, grad_input, dw and db — at
+//      any kernel size, batch size, gradient density and thread count, and a
+//      whole model trains to the same bits with NaiveConv2D layers in place
+//      of its Conv2D layers. The GEMM reduction and the input-gradient
+//      scatter replay the naive accumulation order term for term (see
+//      nn/conv_kernels.hpp).
 //   2. The zero-skip shortcuts (`v != 0.0` / `a == 0.0` / `g == 0.0`) are
 //      pinned: both paths drop 0 * x terms identically (including -0.0 and
 //      x = inf), which is only sound under the finite-input contract that
@@ -29,6 +32,7 @@
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
+#include "oracle/naive_conv.hpp"
 #include "util/thread_pool.hpp"
 
 // --- Global allocation counter for the steady-state test -------------------
@@ -51,11 +55,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace crowdlearn::nn {
 namespace {
-
-/// Restore the process-wide kernel mode when a test exits (pass or fail).
-struct KernelModeGuard {
-  ~KernelModeGuard() { Conv2D::set_kernel_mode(ConvKernelMode::kIm2col); }
-};
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -98,12 +97,20 @@ const ConvCase kCases[] = {
     {{4, 5, 5}, 2, 3},
 };
 
-void zero_grads(Conv2D& conv) {
-  for (Param p : conv.params()) p.grad->fill(0.0);
+void zero_grads(Layer& layer) {
+  for (Param p : layer.params()) p.grad->fill(0.0);
+}
+
+/// Parameter gradients of `naive` and `conv` must match bitwise.
+void expect_grads_bitwise_eq(Layer& naive, Layer& conv) {
+  const std::vector<Param> pr = naive.params();
+  const std::vector<Param> pi = conv.params();
+  ASSERT_EQ(pr.size(), pi.size());
+  for (std::size_t p = 0; p < pr.size(); ++p)
+    expect_bitwise_eq(*pr[p].grad, *pi[p].grad, pr[p].name.c_str());
 }
 
 TEST(NnKernels, ForwardMatchesNaiveBitwise) {
-  KernelModeGuard guard;
   for (const ConvCase& cs : kCases) {
     for (std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -111,14 +118,14 @@ TEST(NnKernels, ForwardMatchesNaiveBitwise) {
         Conv2D conv(cs.in, cs.out_channels, cs.kernel, rng);
         const Matrix x = sparse_matrix(batch, cs.in.size(), rng);
 
-        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-        const Matrix ref = conv.forward(x, false);
+        Matrix ref(batch, conv.output_size());
+        oracle::naive_conv2d_forward(oracle::geometry_of(conv), conv.kernels(), conv.bias(), x,
+                                     ref);
 
         util::ThreadPool pool(threads);
         Workspace ws;
         ws.set_pool(&pool);
         conv.bind_workspace(&ws, 0);
-        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
         const Matrix got = conv.forward(x, false);
 
         expect_bitwise_eq(ref, got, "forward");
@@ -128,18 +135,16 @@ TEST(NnKernels, ForwardMatchesNaiveBitwise) {
 }
 
 TEST(NnKernels, BackwardMatchesNaiveBitwise) {
-  KernelModeGuard guard;
   for (const ConvCase& cs : kCases) {
     for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         Rng rng(200 + batch + threads);
-        Conv2D naive(cs.in, cs.out_channels, cs.kernel, rng);
-        Conv2D im2col(naive);  // identical weights
+        Conv2D im2col(cs.in, cs.out_channels, cs.kernel, rng);
+        oracle::NaiveConv2D naive(im2col);  // identical weights
         const Matrix x = sparse_matrix(batch, cs.in.size(), rng);
         // Zeros in the upstream gradient exercise the `g == 0.0` skip.
         const Matrix g = sparse_matrix(batch, cs.out_channels * cs.in.height * cs.in.width, rng);
 
-        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
         naive.forward(x, true);
         zero_grads(naive);
         const Matrix ref_gx = naive.backward(g);
@@ -148,16 +153,12 @@ TEST(NnKernels, BackwardMatchesNaiveBitwise) {
         Workspace ws;
         ws.set_pool(&pool);
         im2col.bind_workspace(&ws, 0);
-        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
         im2col.forward(x, true);
         zero_grads(im2col);
         const Matrix got_gx = im2col.backward(g);
 
         expect_bitwise_eq(ref_gx, got_gx, "grad_input");
-        const std::vector<Param> pr = naive.params();
-        const std::vector<Param> pi = im2col.params();
-        for (std::size_t p = 0; p < pr.size(); ++p)
-          expect_bitwise_eq(*pr[p].grad, *pi[p].grad, pr[p].name.c_str());
+        expect_grads_bitwise_eq(naive, im2col);
       }
     }
   }
@@ -167,10 +168,9 @@ TEST(NnKernels, RepeatedTrainStepsStayBitwiseEquivalent) {
   // A few forward/backward rounds through the SAME conv instance: workspace
   // buffers are reused (not re-zeroed allocations), so this catches any
   // stale-state leak between iterations.
-  KernelModeGuard guard;
   Rng rng(7);
-  Conv2D naive({2, 6, 6}, 3, 3, rng);
-  Conv2D im2col(naive);
+  Conv2D im2col({2, 6, 6}, 3, 3, rng);
+  oracle::NaiveConv2D naive(im2col);
   util::ThreadPool pool(2);
   Workspace ws;
   ws.set_pool(&pool);
@@ -178,18 +178,13 @@ TEST(NnKernels, RepeatedTrainStepsStayBitwiseEquivalent) {
   for (int step = 0; step < 4; ++step) {
     const Matrix x = sparse_matrix(3, naive.input_size(), rng);
     const Matrix g = sparse_matrix(3, naive.output_size(), rng);
-    Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
     naive.forward(x, true);
     const Matrix ref_gx = naive.backward(g);
-    Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
     im2col.forward(x, true);
     const Matrix got_gx = im2col.backward(g);
     expect_bitwise_eq(ref_gx, got_gx, "grad_input");
     // dw/db accumulate across steps in both paths; compare the running sums.
-    const std::vector<Param> pr = naive.params();
-    const std::vector<Param> pi = im2col.params();
-    for (std::size_t p = 0; p < pr.size(); ++p)
-      expect_bitwise_eq(*pr[p].grad, *pi[p].grad, pr[p].name.c_str());
+    expect_grads_bitwise_eq(naive, im2col);
   }
 }
 
@@ -210,22 +205,20 @@ Matrix gradient_with_zero_rows(std::size_t batch, std::size_t cols, double zero_
 }
 
 TEST(NnKernels, WeightGradMatchesNaiveAtEveryKernelSize) {
-  // k in {1,3,5,7}; sparse gradients (the scatter input-gradient route) and
-  // dense ones (the GEMM route); all-zero and ±0.0 sample rows; 1/2/8
-  // threads. dw, db and grad_input must equal the naive kernel bitwise.
-  KernelModeGuard guard;
+  // k in {1,3,5,7}; sparse and dense gradients; all-zero and ±0.0 sample
+  // rows; 1/2/8 threads. dw, db and grad_input must equal the naive kernels
+  // bitwise.
   const ConvCase cases[] = {
       {{1, 5, 5}, 3, 1}, {{2, 6, 6}, 4, 3}, {{3, 7, 7}, 2, 5}, {{2, 9, 9}, 3, 7}};
   for (const ConvCase& cs : cases) {
     for (double zero_frac : {0.9, 0.2}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         Rng rng(300 + cs.kernel * 10 + threads);
-        Conv2D naive(cs.in, cs.out_channels, cs.kernel, rng);
-        Conv2D im2col(naive);
+        Conv2D im2col(cs.in, cs.out_channels, cs.kernel, rng);
+        oracle::NaiveConv2D naive(im2col);
         const Matrix x = sparse_matrix(4, cs.in.size(), rng);
         const Matrix g = gradient_with_zero_rows(4, naive.output_size(), zero_frac, rng);
 
-        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
         naive.forward(x, true);
         zero_grads(naive);
         const Matrix ref_gx = naive.backward(g);
@@ -234,26 +227,107 @@ TEST(NnKernels, WeightGradMatchesNaiveAtEveryKernelSize) {
         Workspace ws;
         ws.set_pool(&pool);
         im2col.bind_workspace(&ws, 0);
-        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
         im2col.forward(x, true);
         zero_grads(im2col);
         const Matrix got_gx = im2col.backward(g);
 
         expect_bitwise_eq(ref_gx, got_gx, "grad_input");
-        const std::vector<Param> pr = naive.params();
-        const std::vector<Param> pi = im2col.params();
-        for (std::size_t p = 0; p < pr.size(); ++p)
-          expect_bitwise_eq(*pr[p].grad, *pi[p].grad, pr[p].name.c_str());
+        expect_grads_bitwise_eq(naive, im2col);
       }
     }
+  }
+}
+
+/// Gradient with exactly `nonzero` nonzero entries at random positions.
+Matrix gradient_with_nonzeros(std::size_t rows, std::size_t cols, std::size_t nonzero,
+                              Rng& rng) {
+  std::vector<std::size_t> order(rows * cols);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng.shuffle(order);
+  Matrix g(rows, cols);
+  for (std::size_t i = 0; i < nonzero; ++i) g.data()[order[i]] = rng.uniform(-1.0, 1.0);
+  return g;
+}
+
+TEST(NnKernels, InputGradientMatchesNaiveAtAnyDensity) {
+  // Conv2D has one input-gradient route, the scatter loop. A gradient
+  // exactly 25 % nonzero and a fully dense one must both give the naive
+  // kernel's bits at 1/2/8 threads.
+  for (const ConvCase& cs : kCases) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      Rng rng(350 + cs.kernel * 10 + threads);
+      Conv2D conv(cs.in, cs.out_channels, cs.kernel, rng);
+      util::ThreadPool pool(threads);
+      Workspace ws;
+      ws.set_pool(&pool);
+      conv.bind_workspace(&ws, 0);
+      const std::size_t batch = 4;
+      const std::size_t size = batch * conv.output_size();  // a multiple of 4
+      const Matrix quarter = gradient_with_nonzeros(batch, conv.output_size(), size / 4, rng);
+      const Matrix dense = random_matrix(batch, conv.output_size(), rng);
+      for (const Matrix* g : {&quarter, &dense}) {
+        conv.forward(sparse_matrix(batch, cs.in.size(), rng), true);
+        Matrix ref(batch, conv.input_size());
+        oracle::naive_conv2d_grad_input(oracle::geometry_of(conv), conv.kernels(), *g, ref);
+        Matrix got;
+        conv.backward_input(*g, got);
+        expect_bitwise_eq(ref, got, g == &quarter ? "25 % nonzero gradient" : "dense gradient");
+      }
+    }
+  }
+}
+
+/// VGG16-like stack on 16x16 inputs: the benchmark shapes of bench_micro.
+Sequential make_vgg16_like(Rng& rng) {
+  const Shape3 in{1, 16, 16};
+  Sequential model;
+  model.add(std::make_unique<Conv2D>(in, 8, 3, rng));
+  model.add(std::make_unique<ReLU>(Shape3{8, 16, 16}.size()));
+  model.add(std::make_unique<MaxPool2D>(Shape3{8, 16, 16}));
+  model.add(std::make_unique<Conv2D>(Shape3{8, 8, 8}, 16, 3, rng));
+  model.add(std::make_unique<ReLU>(Shape3{16, 8, 8}.size()));
+  model.add(std::make_unique<MaxPool2D>(Shape3{16, 8, 8}));
+  model.add(std::make_unique<Dense>(Shape3{16, 4, 4}.size(), 48, rng));
+  model.add(std::make_unique<ReLU>(48));
+  model.add(std::make_unique<Dense>(48, 3, rng));
+  return model;
+}
+
+TEST(NnKernels, SequentialTrainsToNaiveBitsAtAnyThreadCount) {
+  // Two SGD steps through a VGG16-like stack must leave every parameter bit
+  // where the same stack on NaiveConv2D layers leaves it, at 1/2/8 threads.
+  Rng data_rng(43);
+  const Matrix x = random_matrix(16, Shape3{1, 16, 16}.size(), data_rng);
+  std::vector<std::size_t> y(16);
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = i % 3;
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = 8;  // two steps
+  auto train = [&](Sequential& model) {
+    Rng fit_rng(47);
+    model.fit(x, y, cfg, fit_rng);
+    std::vector<Matrix> out;
+    for (Param p : model.params()) out.push_back(*p.value);
+    return out;
+  };
+  Rng rng(41);
+  const Sequential proto = make_vgg16_like(rng);
+  Sequential naive = oracle::with_naive_convs(proto);
+  const std::vector<Matrix> want = train(naive);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    util::ThreadPool pool(threads);
+    Sequential model = proto.clone();
+    model.set_thread_pool(&pool);
+    const std::vector<Matrix> got = train(model);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t p = 0; p < want.size(); ++p)
+      expect_bitwise_eq(want[p], got[p], "parameter after two steps");
   }
 }
 
 TEST(NnKernels, ParamsOnlyBackwardMatchesFullBackward) {
   // Sequential::backward_ws runs only backward_params on the first layer;
   // the parameter gradients it accumulates must be the full backward's bits.
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     Rng rng(400 + threads);
     Conv2D full({2, 6, 6}, 3, 3, rng);
@@ -364,9 +438,7 @@ void expect_input_half_matches_full(Layer& full, Layer& half, const Matrix& x,
 TEST(NnKernels, InputGradientPassMatchesFullBackwardForEveryLayer) {
   // Every layer type, batch 1 and 32, gradients with exact zeros plus an
   // all-+0.0 and a mixed ±0.0 row (batch 32), at 1 and 4 threads. Conv2D
-  // runs both input-gradient routes (sparse scatter and dense GEMM) and the
-  // naive reference mode.
-  KernelModeGuard guard;
+  // runs a sparse and a dense gradient; the naive reference layer runs too.
   const Shape3 shape{3, 6, 6};
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool pool(threads);
@@ -399,11 +471,10 @@ TEST(NnKernels, InputGradientPassMatchesFullBackwardForEveryLayer) {
       GlobalAvgPool gap(shape);
       check(gap, 0.3, "GlobalAvgPool");
       Conv2D conv(shape, 4, 3, rng);
-      check(conv, 0.9, "Conv2D sparse route");
-      check(conv, 0.1, "Conv2D dense route");
-      Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-      check(conv, 0.3, "Conv2D naive");
-      Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+      check(conv, 0.9, "Conv2D sparse gradient");
+      check(conv, 0.1, "Conv2D dense gradient");
+      oracle::NaiveConv2D naive_conv(conv);
+      check(naive_conv, 0.3, "NaiveConv2D");
     }
   }
 }
@@ -428,9 +499,9 @@ TEST(NnKernels, DenseInputGradientIsTheGemmAgainstTransposedWeights) {
 
 TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
   // A zero input against an inf weight: the product 0*inf = NaN is DROPPED
-  // by the skip in both kernel flavors, so the output stays finite. This is
-  // the pinned (intentional) semantics the finite-input contract justifies.
-  KernelModeGuard guard;
+  // by the skip in Conv2D and the naive kernel alike, so the output stays
+  // finite. This is the pinned (intentional) semantics the finite-input
+  // contract justifies.
   Rng rng(11);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
   conv.kernels()(0, 4) = std::numeric_limits<double>::infinity();
@@ -438,12 +509,9 @@ TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
 
 #ifndef NDEBUG
   // Debug builds refuse the contract violation up front instead.
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   EXPECT_THROW(conv.forward(x, false), std::domain_error);
 #else
-  Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-  const Matrix ref = conv.forward(x, false);
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  const Matrix ref = oracle::NaiveConv2D(conv).forward(x, false);
   const Matrix got = conv.forward(x, false);
 
   expect_bitwise_eq(ref, got, "forward with inf weight");
@@ -460,15 +528,12 @@ TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
 TEST(NnKernels, NegativeZeroIsSkippedLikePositiveZero) {
   // `v != 0.0` and `a == 0.0` both treat -0.0 as zero (IEEE comparison), so
   // a -0.0 input contributes nothing in either path.
-  KernelModeGuard guard;
   Rng rng(13);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
   Matrix x(1, 16, 0.0);
   for (double& v : x.data()) v = -0.0;
 
-  Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-  const Matrix ref = conv.forward(x, false);
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  const Matrix ref = oracle::NaiveConv2D(conv).forward(x, false);
   const Matrix got = conv.forward(x, false);
   expect_bitwise_eq(ref, got, "forward with -0.0 input");
   for (std::size_t oc = 0; oc < 2u; ++oc)
@@ -491,17 +556,17 @@ TEST(NnKernels, DebugCheckFiniteEnforcesTheContract) {
 // --- Training-flag gating --------------------------------------------------
 
 TEST(NnKernels, InferenceForwardKeepsGradCamCacheButNoBackwardState) {
-  KernelModeGuard guard;
+  // Grad-CAM reads a conv's activations from the ReLU above it: after an
+  // inference pass through conv -> ReLU, that ReLU's input is the conv's
+  // output bit for bit...
   Rng rng(17);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
+  ReLU relu(conv.output_size());
   const Matrix x = random_matrix(2, 16, rng);
   const Matrix y = conv.forward(x, /*training=*/false);
-  // Grad-CAM still works after an inference pass...
-  const Tensor3 act = conv.last_activation(0);
-  for (std::size_t i = 0; i < act.size(); ++i)
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(act.data()[i]),
-              std::bit_cast<std::uint64_t>(y(0, i)));
-  // ...but backward is refused (no cached state was retained).
+  relu.forward(y, /*training=*/false);
+  expect_bitwise_eq(y, relu.last_input(), "ReLU input after an inference forward");
+  // ...but the conv's backward is refused (no backward state was retained).
   EXPECT_THROW(conv.backward(y), std::logic_error);
 }
 
@@ -523,8 +588,6 @@ Sequential make_small_cnn(Rng& rng) {
 }
 
 TEST(NnKernels, SteadyStateForwardIsAllocationFree) {
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   Rng rng(19);
   Sequential model = make_small_cnn(rng);
   const Matrix x = random_matrix(6, model.input_size(), rng);
@@ -549,8 +612,6 @@ TEST(NnKernels, SteadyStateTrainingPassIsAllocationFree) {
   // A training forward plus backward_ws — the per-step work of
   // Sequential::fit minus batch assembly and the loss — reuses the
   // workspace's activation and gradient buffers and the layers' scratch.
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   Rng rng(20);
   Sequential model = make_small_cnn(rng);
   const Matrix x = random_matrix(6, model.input_size(), rng);
@@ -578,8 +639,6 @@ TEST(NnKernels, BackwardWsMatchesChainedBackwardBitwise) {
   // accumulate the parameter gradients that chaining Layer::backward does.
   // The second, smaller step reuses buffers still holding the first step's
   // gradients.
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   Rng rng(21);
   Sequential a = make_small_cnn(rng);
   Sequential b = a.clone();
@@ -600,7 +659,6 @@ TEST(NnKernels, BackwardWsMatchesChainedBackwardBitwise) {
 }
 
 TEST(NnKernels, WorkspaceGrowCountStabilizesAcrossBatchSizes) {
-  KernelModeGuard guard;
   Rng rng(23);
   Sequential model = make_small_cnn(rng);
   const Matrix small = random_matrix(2, model.input_size(), rng);
@@ -616,7 +674,6 @@ TEST(NnKernels, WorkspaceGrowCountStabilizesAcrossBatchSizes) {
 // --- forward() / forward_ws() agreement ------------------------------------
 
 TEST(NnKernels, ForwardWsMatchesForwardBitwise) {
-  KernelModeGuard guard;
   Rng rng(29);
   Sequential a = make_small_cnn(rng);
   Sequential b = a.clone();
@@ -629,8 +686,6 @@ TEST(NnKernels, ForwardWsMatchesForwardBitwise) {
 // --- Thread invariance of whole-model training -----------------------------
 
 TEST(NnKernels, CnnTrainingIsThreadCountInvariant) {
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   auto train = [](std::size_t threads) {
     Rng rng(31);
     Sequential model = make_small_cnn(rng);
