@@ -66,7 +66,7 @@ fi
 # mode only accepts Release-family builds; --quick runs anywhere but says so.
 # (the console reporter prints the context block on stderr)
 PROBE=$("$BIN" '--benchmark_filter=^BM_ObsDisabledGuard$' \
-               --benchmark_min_time=0.001s 2>&1)
+               --benchmark_min_time=0.001 2>&1)
 BUILD_TYPE=$(printf '%s\n' "$PROBE" |
   awk -F': ' '/^crowdlearn_build_type:/ { print $2; exit }')
 SANITIZE=$(printf '%s\n' "$PROBE" |
@@ -93,11 +93,11 @@ fi
 if [ "$QUICK" -eq 1 ]; then
   [ -n "$OUT" ] || OUT=BENCH_micro.quick.json
   FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive'
-  MIN_TIME=--benchmark_min_time=0.02s
+  MIN_TIME=--benchmark_min_time=0.02
 else
   [ -n "$OUT" ] || OUT=BENCH_micro.json
   FILTER='BM_Conv2D|BM_Gemm|BM_SequentialTrainStep|BM_CommitteeInference|BM_CqcRetrain'
-  MIN_TIME=--benchmark_min_time=0.10s
+  MIN_TIME=--benchmark_min_time=0.10
 fi
 
 echo "bench_json.sh: running $BIN (filter: $FILTER) -> $OUT"

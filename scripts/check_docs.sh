@@ -174,6 +174,14 @@ if grep -rnE '#include[[:space:]]*"oracle/|ConvKernelMode|GemmKernel|set_kernel_
   err "src/ includes a tests/oracle header or names a kernel toggle (lines above)"
 fi
 
+# --- 12. one model encoding --------------------------------------------------
+# Networks persist only as binary layer records inside the checkpoint
+# container (src/nn/serialize.hpp). The decimal-text encoder and its file
+# wrappers must not come back beside them.
+if grep -rnE 'save_model_file|load_model_file|max_digits10' src/nn src/experts >&2; then
+  err "src/nn or src/experts brings back the text model encoding (lines above)"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1

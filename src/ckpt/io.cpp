@@ -23,14 +23,22 @@ const char* ckpt_errc_name(CkptErrc code) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: table[0] is the classic bytewise table, and
+// table[k][i] is the CRC of byte i followed by k zero bytes, so one lookup per
+// byte of an 8-byte block folds the whole block at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
 }
 
 void append_le(std::string& out, std::uint64_t v, std::size_t bytes) {
@@ -45,13 +53,43 @@ std::uint64_t parse_le(const char* p, std::size_t bytes) {
   return v;
 }
 
+// Eight-byte elements (double / u64) as consecutive little-endian words: one
+// memcpy where the host is little-endian, the portable byte loop elsewhere.
+// The bytes are the same either way.
+template <typename T>
+void append_bulk(std::string& out, const std::vector<T>& v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    out.append(reinterpret_cast<const char*>(v.data()), v.size() * 8);
+  } else {
+    for (const T& x : v) append_le(out, std::bit_cast<std::uint64_t>(x), 8);
+  }
+}
+
+template <typename T>
+void parse_bulk(const char* p, std::vector<T>& v) {
+  static_assert(sizeof(T) == 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v.empty()) std::memcpy(v.data(), p, v.size() * 8);
+  } else {
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = std::bit_cast<T>(parse_le(p + 8 * i, 8));
+  }
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  const auto* p = static_cast<const unsigned char*>(data);
+  static const CrcTables t = make_crc_tables();
+  const auto* p = static_cast<const char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const auto lo = static_cast<std::uint32_t>(c ^ parse_le(p, 4));
+    const auto hi = static_cast<std::uint32_t>(parse_le(p + 4, 4));
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size)
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -71,12 +109,12 @@ void Writer::str(const std::string& s) {
 
 void Writer::vec_f64(const std::vector<double>& v) {
   u64(v.size());
-  for (double x : v) f64(x);
+  append_bulk(payload_, v);
 }
 
 void Writer::vec_u64(const std::vector<std::uint64_t>& v) {
   u64(v.size());
-  for (std::uint64_t x : v) u64(x);
+  append_bulk(payload_, v);
 }
 
 void Writer::vec_sizes(const std::vector<std::size_t>& v) {
@@ -169,21 +207,17 @@ std::string Reader::str() {
   return std::string(p, static_cast<std::size_t>(n));
 }
 
-std::vector<double> Reader::vec_f64() {
+template <typename T>
+std::vector<T> Reader::take_bulk() {
   const std::uint64_t n = u64();
   if (n > remaining() / 8) throw CkptError(CkptErrc::kMalformed, "vector length overrun");
-  std::vector<double> v(static_cast<std::size_t>(n));
-  for (double& x : v) x = f64();
+  std::vector<T> v(static_cast<std::size_t>(n));
+  parse_bulk(take(v.size() * 8), v);
   return v;
 }
 
-std::vector<std::uint64_t> Reader::vec_u64() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / 8) throw CkptError(CkptErrc::kMalformed, "vector length overrun");
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
-  for (std::uint64_t& x : v) x = u64();
-  return v;
-}
+std::vector<double> Reader::vec_f64() { return take_bulk<double>(); }
+std::vector<std::uint64_t> Reader::vec_u64() { return take_bulk<std::uint64_t>(); }
 
 std::vector<std::size_t> Reader::vec_sizes() {
   const std::vector<std::uint64_t> raw = vec_u64();
@@ -232,10 +266,13 @@ std::string read_file(const std::string& path) {
 }
 
 std::string read_image(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw CkptError(CkptErrc::kIo, "cannot open " + path);
-  std::string image((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  if (is.bad()) throw CkptError(CkptErrc::kIo, "read failure on " + path);
+  const std::streamsize size = is.tellg();
+  if (size < 0) throw CkptError(CkptErrc::kIo, "cannot size " + path);
+  std::string image(static_cast<std::size_t>(size), '\0');
+  is.seekg(0);
+  if (!is.read(image.data(), size)) throw CkptError(CkptErrc::kIo, "read failure on " + path);
   validate_image(image);
   return image;
 }

@@ -37,7 +37,9 @@
 namespace crowdlearn::ckpt {
 
 inline constexpr char kMagic[8] = {'C', 'R', 'O', 'W', 'D', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Version 2 stores expert networks as raw layer records (nn/serialize.hpp);
+/// a version-1 image (decimal-text networks) fails with kBadVersion.
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::size_t kHeaderSize = 24;
 
 /// Typed failure classes for checkpoint I/O.
@@ -127,6 +129,8 @@ class Reader {
   std::size_t offset_ = 0;
 
   const char* take(std::size_t n);  ///< advance; throws kMalformed on overrun
+  template <typename T>
+  std::vector<T> take_bulk();  ///< u64 count, then that many 8-byte elements
 };
 
 /// Read `path`, validate magic/version/declared size/CRC, and return the

@@ -1,6 +1,5 @@
 #include "experts/dda_algorithm.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "cache/artifact_cache.hpp"
@@ -33,9 +32,16 @@ std::string DdaAlgorithm::state_payload() const {
 }
 
 void DdaAlgorithm::load_state_payload(const std::string& payload) {
+  // load_state commits once its own records decode, so trailing bytes are
+  // only seen afterwards; the snapshot puts the previous state back then.
+  const std::string previous = state_payload();
   ckpt::Reader r(payload);
   load_state(r);
-  r.expect_end();
+  if (!r.at_end()) {
+    ckpt::Reader undo(previous);
+    load_state(undo);
+    r.expect_end();
+  }
 }
 
 void hash_train_config(ckpt::Hasher128& h, const nn::TrainConfig& cfg) {
@@ -144,19 +150,6 @@ void NeuralDdaAlgorithm::set_thread_pool(util::ThreadPool* pool) {
   model_.set_thread_pool(pool_);
 }
 
-void NeuralDdaAlgorithm::save_model(std::ostream& os) const {
-  if (!trained_) throw std::logic_error("NeuralDdaAlgorithm::save_model before train");
-  nn::save_model(model_, os);
-}
-
-void NeuralDdaAlgorithm::load_model(std::istream& is) {
-  model_ = nn::load_model(is);
-  model_.set_thread_pool(pool_);
-  trained_ = true;
-  base_training_ids_.clear();
-  on_model_loaded();
-}
-
 namespace {
 constexpr char kNeuralTag[4] = {'N', 'D', 'A', '1'};
 }
@@ -165,9 +158,7 @@ void NeuralDdaAlgorithm::save_state(ckpt::Writer& w) const {
   w.begin_section(kNeuralTag);
   w.str(name());
   w.u8(trained_ ? 1 : 0);
-  std::ostringstream blob;
-  if (trained_) nn::save_model(model_, blob);
-  w.str(blob.str());
+  if (trained_) nn::save_model(model_, w);
   w.vec_sizes(base_training_ids_);
   w.u64(replay_per_new_label_);
 }
@@ -180,27 +171,30 @@ void NeuralDdaAlgorithm::load_state(ckpt::Reader& r) {
                           "checkpoint holds expert '" + stored_name +
                               "' but this expert is '" + name() + "'");
   }
-  const bool trained = r.u8() != 0;
-  const std::string blob = r.str();
+  const std::uint8_t trained_flag = r.u8();
+  if (trained_flag > 1)
+    throw ckpt::CkptError(ckpt::CkptErrc::kMalformed, "expert '" + name() + "': bad trained flag");
+  const bool trained = trained_flag == 1;
+  nn::Sequential model;
+  if (trained) model = nn::load_model(r);
   std::vector<std::size_t> base_ids = r.vec_sizes();
   const auto replay = static_cast<std::size_t>(r.u64());
 
-  nn::Sequential model;
+  // Commit the network, but take it back if the expert rejects it, so a
+  // failed load leaves the previous network serving.
+  std::swap(model_, model);
   if (trained) {
-    std::istringstream is(blob);
     try {
-      model = nn::load_model(is);
-    } catch (const std::exception& e) {
-      throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
-                            "expert '" + name() + "' model blob: " + e.what());
+      on_model_loaded();
+    } catch (...) {
+      std::swap(model_, model);
+      throw;
     }
   }
-  model_ = std::move(model);
   model_.set_thread_pool(pool_);
   trained_ = trained;
   base_training_ids_ = std::move(base_ids);
   replay_per_new_label_ = replay;
-  if (trained_) on_model_loaded();
 }
 
 void NeuralDdaAlgorithm::copy_neural_state(const NeuralDdaAlgorithm& src) {

@@ -5,7 +5,6 @@
 // experts only through this interface, mirroring the black-box assumption.
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,8 +62,7 @@ class DdaAlgorithm {
   virtual void set_thread_pool(util::ThreadPool* /*pool*/) {}
 
   /// Checkpoint hooks (src/ckpt): persist / restore the expert's full
-  /// mutable state (trained parameters AND retrain bookkeeping — unlike the
-  /// neural save_model/load_model pair, which drops the golden replay set).
+  /// mutable state (trained parameters AND retrain bookkeeping).
   /// The base implementations throw std::logic_error; every expert the
   /// system checkpoints must override both.
   virtual void save_state(ckpt::Writer& w) const;
@@ -83,7 +81,9 @@ class DdaAlgorithm {
   virtual void hash_spec(ckpt::Hasher128& h) const;
 
   /// save_state/load_state as a raw byte payload (no container framing) —
-  /// the artifact image the cache keys and stores.
+  /// the artifact image the cache keys and stores. load_state_payload throws
+  /// kMalformed, and leaves the expert as it was, unless the payload is
+  /// exactly one section.
   std::string state_payload() const;
   void load_state_payload(const std::string& payload);
 
@@ -113,21 +113,17 @@ class NeuralDdaAlgorithm : public DdaAlgorithm {
   nn::Sequential& model() { return model_; }
 
   /// Forward the pool to the owned Sequential. Re-applied whenever the
-  /// model is rebuilt (train / load_model / load_state), and intentionally
+  /// model is rebuilt (train / load_state), and intentionally
   /// NOT copied by copy_neural_state — each clone wires its own pool.
   void set_thread_pool(util::ThreadPool* pool) override;
 
-  /// Persist / restore the trained network (see nn/serialize.hpp). Loading
-  /// marks the expert trained; the golden replay set is not persisted, so a
-  /// loaded expert retrains on crowd labels alone unless train() ran first.
-  void save_model(std::ostream& os) const;
-  void load_model(std::istream& is);
-
-  /// Checkpoint hooks: the network plus the retrain bookkeeping
-  /// (base_training_ids_, replay rate), so a restored expert replays golden
-  /// samples exactly like the saved one. load_state validates the stored
-  /// expert name against name() and throws ckpt::CkptError(kMalformed) on
-  /// mismatch (a reordered roster must fail loudly, not load the wrong net).
+  /// Checkpoint hooks: the network's layer records (nn/serialize.hpp) plus
+  /// the retrain bookkeeping (base_training_ids_, replay rate), so a restored
+  /// expert replays golden samples exactly like the saved one. load_state
+  /// validates the stored expert name against name() and throws
+  /// ckpt::CkptError(kMalformed) on mismatch (a reordered roster must fail
+  /// loudly, not load the wrong net); any decode failure leaves the expert
+  /// as it was.
   void save_state(ckpt::Writer& w) const override;
   void load_state(ckpt::Reader& r) override;
 
@@ -162,8 +158,9 @@ class NeuralDdaAlgorithm : public DdaAlgorithm {
   /// the concrete experts' clone() implementations).
   void copy_neural_state(const NeuralDdaAlgorithm& src);
 
-  /// Hook invoked after load_model() replaces the network (e.g. DDM relocates
-  /// its Grad-CAM layer index).
+  /// Hook invoked after load_state() replaces the network (e.g. DDM relocates
+  /// its Grad-CAM layer index). It may throw to reject the network, which
+  /// load_state then puts back; it must not change state before it throws.
   virtual void on_model_loaded() {}
 
   nn::Sequential model_;

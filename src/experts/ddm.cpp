@@ -1,6 +1,7 @@
 #include "experts/ddm.hpp"
 
 #include "ckpt/digest.hpp"
+#include "ckpt/io.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -42,18 +43,17 @@ void DdmClassifier::on_model_loaded() {
   // Grad-CAM attaches to the last convolutional layer and reads its
   // activations from the ReLU right above it; relocate it in the freshly
   // loaded network.
-  bool found = false;
-  for (std::size_t i = 0; i < model_.num_layers(); ++i) {
-    if (dynamic_cast<nn::Conv2D*>(&model_.layer(i)) != nullptr) {
-      conv2_index_ = i;
-      found = true;
-    }
-  }
-  if (!found)
-    throw std::runtime_error("DdmClassifier: loaded model has no convolutional layer");
-  if (conv2_index_ + 1 >= model_.num_layers() ||
-      dynamic_cast<nn::ReLU*>(&model_.layer(conv2_index_ + 1)) == nullptr)
-    throw std::runtime_error("DdmClassifier: loaded model has no ReLU after its last conv layer");
+  std::size_t last_conv = model_.num_layers();
+  for (std::size_t i = 0; i < model_.num_layers(); ++i)
+    if (dynamic_cast<nn::Conv2D*>(&model_.layer(i)) != nullptr) last_conv = i;
+  if (last_conv == model_.num_layers())
+    throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
+                          "DdmClassifier: loaded model has no convolutional layer");
+  if (last_conv + 1 >= model_.num_layers() ||
+      dynamic_cast<nn::ReLU*>(&model_.layer(last_conv + 1)) == nullptr)
+    throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
+                          "DdmClassifier: loaded model has no ReLU after its last conv layer");
+  conv2_index_ = last_conv;
 }
 
 void DdmClassifier::hash_spec(ckpt::Hasher128& h) const {

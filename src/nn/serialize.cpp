@@ -1,163 +1,162 @@
 #include "nn/serialize.hpp"
 
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "ckpt/io.hpp"
 #include "nn/conv.hpp"
 
 namespace crowdlearn::nn {
 
 namespace {
 
-constexpr const char* kMagic = "crowdlearn-model";
+// Ceiling on any declared element count. Far above every network this
+// library builds; it only rejects corrupt or crafted headers, and keeps every
+// product of two checked sizes below 2^52.
+constexpr std::uint64_t kMaxElements = std::uint64_t{1} << 26;
+constexpr std::uint64_t kMaxLayers = 1024;
 
-void write_matrix(std::ostream& os, const Matrix& m) {
-  os << m.rows() << " " << m.cols() << "\n";
-  for (std::size_t i = 0; i < m.data().size(); ++i) {
-    os << m.data()[i];
-    os << ((i + 1) % 8 == 0 ? "\n" : " ");
-  }
-  os << "\n";
+[[noreturn]] void malformed(const std::string& what) {
+  throw ckpt::CkptError(ckpt::CkptErrc::kMalformed, "model: " + what);
 }
 
-Matrix read_matrix(std::istream& is) {
-  std::size_t rows = 0, cols = 0;
-  if (!(is >> rows >> cols)) throw std::runtime_error("model load: bad matrix header");
-  if (rows == 0 || cols == 0 || rows * cols > (1u << 26))
-    throw std::runtime_error("model load: implausible matrix dimensions");
-  Matrix m(rows, cols);
-  for (double& v : m.data())
-    if (!(is >> v)) throw std::runtime_error("model load: truncated matrix data");
-  return m;
+std::size_t read_dim(ckpt::Reader& r) {
+  const std::uint64_t v = r.u64();
+  if (v == 0 || v > kMaxElements) malformed("implausible dimension " + std::to_string(v));
+  return static_cast<std::size_t>(v);
 }
 
-void write_shape(std::ostream& os, const Shape3& s) {
-  os << s.channels << " " << s.height << " " << s.width << "\n";
+/// a * b for sizes already bounded by kMaxElements; rejects products past it.
+std::size_t checked_product(std::size_t a, std::size_t b) {
+  if (a > kMaxElements / b) malformed("implausible size");
+  return a * b;
 }
 
-Shape3 read_shape(std::istream& is) {
+void write_matrix(ckpt::Writer& w, const Matrix& m) {
+  w.u64(m.rows());
+  w.u64(m.cols());
+  w.vec_f64(m.data());
+}
+
+Matrix read_matrix(ckpt::Reader& r) {
+  const std::size_t rows = read_dim(r);
+  const std::size_t cols = read_dim(r);
+  const std::size_t n = checked_product(rows, cols);
+  if (n > r.remaining() / 8) malformed("matrix larger than the payload");
+  // Matrix refuses data whose length is not rows * cols (invalid_argument,
+  // which load_model reports as kMalformed).
+  return Matrix(rows, cols, r.vec_f64());
+}
+
+void write_shape(ckpt::Writer& w, const Shape3& s) {
+  w.u64(s.channels);
+  w.u64(s.height);
+  w.u64(s.width);
+}
+
+Shape3 read_shape(ckpt::Reader& r) {
   Shape3 s;
-  if (!(is >> s.channels >> s.height >> s.width))
-    throw std::runtime_error("model load: bad shape");
-  if (s.size() == 0) throw std::runtime_error("model load: degenerate shape");
+  s.channels = read_dim(r);
+  s.height = read_dim(r);
+  s.width = read_dim(r);
+  checked_product(checked_product(s.channels, s.height), s.width);
   return s;
 }
 
-void save_layer(std::ostream& os, const Layer& layer) {
-  const std::string tag = layer.name();
-  os << tag << "\n";
+void save_layer(ckpt::Writer& w, const Layer& layer) {
+  w.str(layer.name());
   if (const auto* dense = dynamic_cast<const Dense*>(&layer)) {
-    os << dense->input_size() << " " << dense->output_size() << "\n";
-    write_matrix(os, dense->weights());
-    write_matrix(os, dense->bias());
+    w.u64(dense->input_size());
+    w.u64(dense->output_size());
+    write_matrix(w, dense->weights());
+    write_matrix(w, dense->bias());
   } else if (const auto* conv = dynamic_cast<const Conv2D*>(&layer)) {
-    write_shape(os, conv->in_shape());
-    os << conv->out_shape().channels << " " << conv->kernel_size() << "\n";
-    write_matrix(os, conv->kernels());
-    write_matrix(os, conv->bias());
+    write_shape(w, conv->in_shape());
+    w.u64(conv->out_shape().channels);
+    w.u64(conv->kernel_size());
+    write_matrix(w, conv->kernels());
+    write_matrix(w, conv->bias());
   } else if (const auto* pool = dynamic_cast<const MaxPool2D*>(&layer)) {
-    write_shape(os, pool->in_shape());
+    write_shape(w, pool->in_shape());
   } else if (const auto* gap = dynamic_cast<const GlobalAvgPool*>(&layer)) {
-    write_shape(os, gap->in_shape());
+    write_shape(w, gap->in_shape());
   } else if (dynamic_cast<const ReLU*>(&layer) != nullptr ||
              dynamic_cast<const Tanh*>(&layer) != nullptr) {
-    os << layer.input_size() << "\n";
+    w.u64(layer.input_size());
   } else if (const auto* dropout = dynamic_cast<const Dropout*>(&layer)) {
-    os << dropout->input_size() << " " << dropout->rate() << "\n";
+    w.u64(dropout->input_size());
+    w.f64(dropout->rate());
   } else {
-    throw std::runtime_error("model save: unknown layer type " + tag);
+    throw std::logic_error("nn::save_model: no record for layer type " + layer.name());
   }
 }
 
-std::unique_ptr<Layer> load_layer(std::istream& is) {
-  std::string tag;
-  if (!(is >> tag)) throw std::runtime_error("model load: missing layer tag");
+std::unique_ptr<Layer> load_layer(ckpt::Reader& r) {
+  const std::string tag = r.str();
   // Weight-carrying layers are constructed with a throwaway RNG and then
-  // overwritten with the stored parameters.
+  // overwritten with the stored parameters, which are read (and checked
+  // against the header) first.
   Rng dummy(0);
   if (tag == "Dense") {
-    std::size_t in = 0, out = 0;
-    if (!(is >> in >> out)) throw std::runtime_error("model load: bad Dense header");
-    auto dense = std::make_unique<Dense>(in, out, dummy);
-    Matrix w = read_matrix(is);
-    Matrix b = read_matrix(is);
+    const std::size_t in = read_dim(r);
+    const std::size_t out = read_dim(r);
+    Matrix w = read_matrix(r);
+    Matrix b = read_matrix(r);
     if (w.rows() != in || w.cols() != out || b.rows() != 1 || b.cols() != out)
-      throw std::runtime_error("model load: Dense parameter shape mismatch");
+      malformed("Dense parameter shape mismatch");
+    auto dense = std::make_unique<Dense>(in, out, dummy);
     dense->weights() = std::move(w);
     dense->bias() = std::move(b);
     return dense;
   }
   if (tag == "Conv2D") {
-    const Shape3 in = read_shape(is);
-    std::size_t out_c = 0, kernel = 0;
-    if (!(is >> out_c >> kernel)) throw std::runtime_error("model load: bad Conv2D header");
+    const Shape3 in = read_shape(r);
+    const std::size_t out_c = read_dim(r);
+    const std::size_t kernel = read_dim(r);
+    checked_product(out_c, in.height * in.width);
+    Matrix w = read_matrix(r);
+    Matrix b = read_matrix(r);
+    if (w.rows() != out_c || w.cols() != checked_product(in.channels, kernel * kernel) ||
+        b.rows() != 1 || b.cols() != out_c)
+      malformed("Conv2D parameter shape mismatch");
     auto conv = std::make_unique<Conv2D>(in, out_c, kernel, dummy);
-    Matrix w = read_matrix(is);
-    Matrix b = read_matrix(is);
-    if (w.rows() != out_c || w.cols() != in.channels * kernel * kernel || b.cols() != out_c)
-      throw std::runtime_error("model load: Conv2D parameter shape mismatch");
     conv->kernels() = std::move(w);
     conv->bias() = std::move(b);
     return conv;
   }
-  if (tag == "MaxPool2D") return std::make_unique<MaxPool2D>(read_shape(is));
-  if (tag == "GlobalAvgPool") return std::make_unique<GlobalAvgPool>(read_shape(is));
-  if (tag == "ReLU" || tag == "Tanh") {
-    std::size_t size = 0;
-    if (!(is >> size) || size == 0)
-      throw std::runtime_error("model load: bad activation size");
-    if (tag == "ReLU") return std::make_unique<ReLU>(size);
-    return std::make_unique<Tanh>(size);
-  }
+  if (tag == "MaxPool2D") return std::make_unique<MaxPool2D>(read_shape(r));
+  if (tag == "GlobalAvgPool") return std::make_unique<GlobalAvgPool>(read_shape(r));
+  if (tag == "ReLU") return std::make_unique<ReLU>(read_dim(r));
+  if (tag == "Tanh") return std::make_unique<Tanh>(read_dim(r));
   if (tag == "Dropout") {
-    std::size_t size = 0;
-    double rate = 0.0;
-    if (!(is >> size >> rate)) throw std::runtime_error("model load: bad Dropout header");
+    const std::size_t size = read_dim(r);
+    const double rate = r.f64();
+    if (!(rate >= 0.0 && rate < 1.0)) malformed("Dropout rate outside [0, 1)");
     return std::make_unique<Dropout>(size, rate, dummy);
   }
-  throw std::runtime_error("model load: unknown layer tag '" + tag + "'");
+  malformed("unknown layer tag '" + tag + "'");
 }
 
 }  // namespace
 
-void save_model(const Sequential& model, std::ostream& os) {
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << kMagic << " " << kModelFormatVersion << "\n";
-  os << model.num_layers() << "\n";
-  for (std::size_t i = 0; i < model.num_layers(); ++i) save_layer(os, model.layer(i));
-  if (!os) throw std::runtime_error("model save: stream failure");
+void save_model(const Sequential& model, ckpt::Writer& w) {
+  if (model.num_layers() == 0) throw std::logic_error("nn::save_model: empty model");
+  w.u64(model.num_layers());
+  for (std::size_t i = 0; i < model.num_layers(); ++i) save_layer(w, model.layer(i));
 }
 
-Sequential load_model(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != kMagic)
-    throw std::runtime_error("model load: not a crowdlearn model stream");
-  if (version != kModelFormatVersion)
-    throw std::runtime_error("model load: unsupported format version " +
-                             std::to_string(version));
-  std::size_t layers = 0;
-  if (!(is >> layers) || layers == 0 || layers > 1024)
-    throw std::runtime_error("model load: implausible layer count");
+Sequential load_model(ckpt::Reader& r) {
+  const std::uint64_t layers = r.u64();
+  if (layers == 0 || layers > kMaxLayers)
+    malformed("implausible layer count " + std::to_string(layers));
   Sequential model;
-  for (std::size_t i = 0; i < layers; ++i) model.add(load_layer(is));
+  try {
+    for (std::uint64_t i = 0; i < layers; ++i) model.add(load_layer(r));
+  } catch (const std::invalid_argument& e) {
+    // A layer constructor or Sequential::add refused the geometry (even
+    // kernel, odd pooling input, adjacent sizes that do not chain).
+    malformed(e.what());
+  }
   return model;
-}
-
-void save_model_file(const Sequential& model, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("model save: cannot open " + path);
-  save_model(model, os);
-}
-
-Sequential load_model_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("model load: cannot open " + path);
-  return load_model(is);
 }
 
 }  // namespace crowdlearn::nn

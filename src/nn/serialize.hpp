@@ -1,32 +1,33 @@
 #pragma once
-// Model persistence for Sequential networks.
+// Model persistence for Sequential networks, inside the checkpoint container
+// (src/ckpt/io.hpp, docs/CHECKPOINTING.md).
 //
-// Text format, one token stream: a header, the layer count, then per layer
-// its type tag, structural configuration and (for trainable layers) the
-// learned parameters. Doubles are written with max_digits10 precision so a
-// save/load round trip reproduces predictions bit-for-bit. The format is
-// versioned; loading rejects unknown versions and malformed streams with
-// std::runtime_error.
-
-#include <iosfwd>
-#include <string>
+// A model is its layer count, then one record per layer: the type tag
+// (Layer::name()), the structural sizes as u64 (a Dropout rate as f64), then,
+// for trainable layers, each parameter matrix as rows, cols and the raw
+// IEEE-754 values (Writer::vec_f64), so a round trip is bit-exact. The
+// container carries the format version.
+//
+// load_model checks every declared size against the bytes left in the
+// payload and against the layer's own geometry before it builds a layer, so
+// a crafted header cannot force a large allocation. Every decode failure is
+// ckpt::CkptError(kMalformed).
 
 #include "nn/sequential.hpp"
 
+namespace crowdlearn::ckpt {
+class Writer;
+class Reader;
+}  // namespace crowdlearn::ckpt
+
 namespace crowdlearn::nn {
 
-inline constexpr int kModelFormatVersion = 1;
+/// Append a model's layer records (architecture + learned parameters).
+/// Throws std::logic_error for an empty model or a layer type the format has
+/// no record for.
+void save_model(const Sequential& model, ckpt::Writer& w);
 
-/// Serialize a model (architecture + learned parameters).
-void save_model(const Sequential& model, std::ostream& os);
-
-/// Reconstruct a model saved with save_model. Throws std::runtime_error on
-/// malformed input, unknown layer tags, or version mismatch.
-Sequential load_model(std::istream& is);
-
-/// File-based convenience wrappers. Throw std::runtime_error if the file
-/// cannot be opened.
-void save_model_file(const Sequential& model, const std::string& path);
-Sequential load_model_file(const std::string& path);
+/// Rebuild a model written by save_model, consuming exactly its records.
+Sequential load_model(ckpt::Reader& r);
 
 }  // namespace crowdlearn::nn

@@ -22,6 +22,7 @@
 
 #include "cache/artifact_cache.hpp"
 #include "ckpt/digest.hpp"
+#include "ckpt/io.hpp"
 #include "core/experiment.hpp"
 #include "core/recorder.hpp"
 #include "experts/bovw.hpp"
@@ -266,6 +267,31 @@ TEST(ArtifactCacheCorruption, BitFlipsAreTypedMissesThatRecompute) {
     write_file(cache.entry_path(k), image);  // restore for the next position
   }
   EXPECT_GT(cache.stats().corrupt_entries, 0u);
+}
+
+TEST(ArtifactCacheCorruption, Version1EntryIsACountedMissThatRecomputes) {
+  // Entries written before the binary layer records carry container version
+  // 1: a typed miss, recomputed and rewritten at the current version.
+  TempDir dir("cache_v1");
+  ArtifactCache cache({dir.path, 0});
+  const Digest128 k = key_of("v1");
+  cache.store(k, "current-bytes");
+  std::string image = read_file(cache.entry_path(k));
+  image[8] = 1;  // version u32 little-endian at offset 8
+  write_file(cache.entry_path(k), image);
+
+  int computes = 0;
+  const FetchResult r = cache.fetch_or_compute(k, [&] {
+    ++computes;
+    return std::string("current-bytes");
+  });
+  EXPECT_TRUE(r.computed);
+  EXPECT_EQ(computes, 1);
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.corrupt_entries, 1u);
+  EXPECT_EQ(cache.lookup(k).value_or(""), "current-bytes");
+  EXPECT_EQ(static_cast<unsigned char>(read_file(cache.entry_path(k))[8]), ckpt::kFormatVersion);
 }
 
 TEST(ArtifactCacheCorruption, WrongKeyEntryIsATypedMiss) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "ckpt/generations.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/state.hpp"
+#include "experts/ddm.hpp"
 #include "gbdt/gbdt.hpp"
 #include "gbdt/hist.hpp"
 #include "util/rng.hpp"
@@ -334,7 +336,7 @@ TEST(CkptContainer, TrailingGarbageIsMalformed) {
 
 TEST(CkptContainer, WrongVersionIsTyped) {
   std::string image = sample_image();
-  image[8] = 2;  // version u32 little-endian at offset 8
+  image[8] = static_cast<char>(kFormatVersion + 1);  // version u32 little-endian at offset 8
   EXPECT_EQ(code_of(image), CkptErrc::kBadVersion);
 }
 
@@ -376,6 +378,32 @@ TEST(CkptContainer, Crc32MatchesKnownVectors) {
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("", 0), 0x00000000u);
   EXPECT_EQ(crc32("a", 1), 0xE8B7BE43u);
+}
+
+/// The plain one-byte-at-a-time CRC-32 loop, kept here as the reference the
+/// library's sliced implementation must match.
+std::uint32_t crc32_bytewise(const std::string& bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptContainer, Crc32MatchesBytewiseLoopOnRandomInputs) {
+  // Random lengths cover every tail length after the 8-byte blocks, and
+  // random offsets cover unaligned starts.
+  Rng rng(20261019);
+  std::string buffer(4096 + 16, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.index(256));
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::size_t offset = rng.index(16);
+    const std::size_t len = iter < 64 ? static_cast<std::size_t>(iter) : rng.index(4096);
+    const std::string bytes = buffer.substr(offset, len);
+    EXPECT_EQ(crc32(buffer.data() + offset, len), crc32_bytewise(bytes))
+        << "offset " << offset << " length " << len;
+  }
 }
 
 TEST(CkptContainer, ErrcNamesAreStable) {
@@ -450,6 +478,164 @@ TEST(CkptState, TableRoundTripAndDimChecks) {
     std::vector<std::vector<double>> back;
     EXPECT_THROW(load_f64_table(r, back, 3, 3), CkptError);  // column count mismatch
   }
+}
+
+// ---------------------------------------------------------------------------
+// Expert (NDA1) section battery: a trained network's layer records
+// ---------------------------------------------------------------------------
+
+/// A DDM small enough that every byte of its section can be mutated in turn,
+/// trained once per process.
+const dataset::Dataset& tiny_dataset() {
+  static const dataset::Dataset data = [] {
+    dataset::DatasetConfig cfg;
+    cfg.total_images = 40;
+    cfg.train_images = 30;
+    return dataset::generate_dataset(cfg);
+  }();
+  return data;
+}
+
+experts::DdmClassifier tiny_trained_ddm() {
+  experts::DdmConfig cfg;
+  cfg.conv1_channels = 2;
+  cfg.conv2_channels = 2;
+  cfg.hidden = 4;
+  cfg.train.epochs = 1;
+  experts::DdmClassifier ddm(cfg);
+  Rng rng(77);
+  ddm.train(tiny_dataset(), tiny_dataset().train_indices, rng);
+  return ddm;
+}
+
+/// Bit patterns of the expert's votes on two held-out images.
+std::vector<std::uint64_t> vote_bits(experts::DdmClassifier& ddm) {
+  std::vector<std::uint64_t> bits;
+  for (std::size_t i = 0; i < 2; ++i)
+    for (double p : ddm.predict_proba(tiny_dataset().image(tiny_dataset().test_indices[i])))
+      bits.push_back(std::bit_cast<std::uint64_t>(p));
+  return bits;
+}
+
+TEST(CkptExpertSection, TruncationAtEveryLengthIsMalformedAndLeavesExpertUntouched) {
+  experts::DdmClassifier ddm = tiny_trained_ddm();
+  const std::string payload = ddm.state_payload();
+  const std::vector<std::uint64_t> votes = vote_bits(ddm);
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    try {
+      ddm.load_state_payload(payload.substr(0, len));
+      ADD_FAILURE() << "expected CkptError at truncation length " << len;
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), CkptErrc::kMalformed) << "length " << len;
+    }
+    ASSERT_TRUE(ddm.state_payload() == payload) << "length " << len;
+  }
+  EXPECT_EQ(vote_bits(ddm), votes);
+}
+
+TEST(CkptExpertSection, BitFlippedLayerRecordsAreTyped) {
+  // Every flip inside the section lands behind the header CRC, so the
+  // container rejects it before load_state runs.
+  experts::DdmClassifier ddm = tiny_trained_ddm();
+  Writer w;
+  ddm.save_state(w);
+  const std::string image = file_image(w);
+  const std::vector<std::uint64_t> votes = vote_bits(ddm);
+  for (std::size_t pos = kHeaderSize; pos < image.size(); ++pos) {
+    std::string mutant = image;
+    mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << (pos % 8)));
+    try {
+      ddm.load_state_payload(validate_image(mutant));
+      ADD_FAILURE() << "expected CkptError at byte " << pos;
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), CkptErrc::kCrcMismatch) << "byte " << pos;
+    }
+  }
+  EXPECT_EQ(vote_bits(ddm), votes);
+}
+
+TEST(CkptExpertSection, FlipsBehindAValidCrcFailTypedOrRoundTripExactly) {
+  // Bit rot a CRC cannot see (a buggy writer): flip one bit of every payload
+  // byte and load it directly. A flip in a tag, a size or a flag must fail
+  // typed and leave the expert as it was; a flip in a value (a weight, a
+  // replay id) is a different valid state and must load exactly as written.
+  experts::DdmClassifier ddm = tiny_trained_ddm();
+  const std::string payload = ddm.state_payload();
+  const std::vector<std::uint64_t> votes = vote_bits(ddm);
+  std::size_t rejected = 0;
+  for (std::size_t pos = 0; pos < payload.size(); ++pos) {
+    std::string mutant = payload;
+    mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << (pos % 8)));
+    try {
+      ddm.load_state_payload(mutant);
+    } catch (const CkptError& e) {
+      ++rejected;
+      EXPECT_EQ(e.code(), CkptErrc::kMalformed) << "byte " << pos;
+      ASSERT_TRUE(ddm.state_payload() == payload) << "byte " << pos;
+      continue;
+    }
+    ASSERT_TRUE(ddm.state_payload() == mutant) << "byte " << pos;
+    ddm.load_state_payload(payload);
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(vote_bits(ddm), votes);
+}
+
+TEST(CkptExpertSection, UnusableSectionsAreMalformedAndLeaveExpertUntouched) {
+  experts::DdmClassifier ddm = tiny_trained_ddm();
+  const std::string payload = ddm.state_payload();
+  const std::vector<std::uint64_t> votes = vote_bits(ddm);
+  auto expect_malformed = [&](const Writer& w) {
+    try {
+      ddm.load_state_payload(w.payload());
+      ADD_FAILURE() << "expected CkptError";
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), CkptErrc::kMalformed) << e.what();
+    }
+    EXPECT_TRUE(ddm.state_payload() == payload);
+  };
+  {
+    // A well-formed network the expert cannot use: DDM needs a conv layer
+    // with a ReLU above it for Grad-CAM.
+    Writer w;
+    w.begin_section("NDA1");
+    w.str(ddm.name());
+    w.u8(1);
+    w.u64(1);  // one Dense layer, no conv
+    w.str("Dense");
+    w.u64(2);
+    w.u64(3);
+    w.u64(2);
+    w.u64(3);
+    w.vec_f64(std::vector<double>(6, 0.0));
+    w.u64(1);
+    w.u64(3);
+    w.vec_f64(std::vector<double>(3, 0.0));
+    w.vec_sizes({});
+    w.u64(8);
+    expect_malformed(w);
+  }
+  {
+    // A trained flag that is neither 0 nor 1, on an otherwise valid
+    // untrained section.
+    Writer w;
+    w.begin_section("NDA1");
+    w.str(ddm.name());
+    w.u8(2);
+    w.vec_sizes({});
+    w.u64(8);
+    expect_malformed(w);
+  }
+  EXPECT_EQ(vote_bits(ddm), votes);
+}
+
+TEST(CkptExpertSection, Version1ImageIsBadVersion) {
+  experts::DdmClassifier ddm = tiny_trained_ddm();
+  Writer w;
+  ddm.save_state(w);
+  std::string image = file_image(w);
+  image[8] = 1;
+  EXPECT_EQ(code_of(image), CkptErrc::kBadVersion);
 }
 
 // ---------------------------------------------------------------------------

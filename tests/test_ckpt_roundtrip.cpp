@@ -606,6 +606,27 @@ TEST_F(CkptSystemTest, CorruptedCheckpointIsRejectedBeforeAnyMutation) {
   EXPECT_EQ(ckpt::read_file(before.path), ckpt::read_file(after.path));
 }
 
+TEST_F(CkptSystemTest, Version1ImageIsBadVersionBeforeAnyMutation) {
+  // An image from before the binary layer records (container version 1)
+  // fails load_state_image with kBadVersion and changes nothing.
+  const dataset::SensingCycleStream stream(setup().data, setup().stream_cfg);
+  CrowdLearnSystem sys(fast_committee(), system_config(1, false));
+  sys.initialize(setup().data, setup().pilot);
+  crowd::CrowdPlatform platform = make_platform(false);
+  sys.run_cycle(setup().data, platform, stream.cycle(0));
+
+  const std::string before = sys.state_image(&platform);
+  std::string old = before;
+  old[8] = 1;  // version u32 little-endian at offset 8
+  try {
+    sys.load_state_image(old, &platform);
+    FAIL() << "expected CkptError";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_EQ(e.code(), ckpt::CkptErrc::kBadVersion);
+  }
+  EXPECT_EQ(sys.state_image(&platform), before);
+}
+
 TEST_F(CkptSystemTest, MalformedPayloadBehindValidCrcRollsBack) {
   // A truncated payload re-wrapped in a VALID container (fresh CRC) passes
   // every container gate and fails mid-apply — the rollback path must
