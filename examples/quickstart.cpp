@@ -25,7 +25,6 @@
 //   --cache-dir DIR     memoize expert/CQC retrains through a
 //                       content-addressed artifact cache rooted at DIR
 //                       (docs/CACHING.md; outputs identical either way)
-//   --no-cache          explicitly disable the cache (the default)
 //
 // Supervised runtime (docs/RECOVERY.md):
 //   --supervise DIR     run under runtime::Supervisor with a checkpoint
@@ -82,7 +81,6 @@ struct CliOptions {
   std::string metrics_json_path;
   std::string weights_out_path;
   std::string cache_dir;  // empty = no artifact cache (the default)
-  bool no_cache = false;
   // Supervised runtime.
   std::string supervise_dir;
   std::size_t ckpt_every = 2;
@@ -131,8 +129,6 @@ CliOptions parse_cli(int argc, char** argv) {
       opt.weights_out_path = value(i, a);
     else if (std::strcmp(a, "--cache-dir") == 0)
       opt.cache_dir = value(i, a);
-    else if (std::strcmp(a, "--no-cache") == 0)
-      opt.no_cache = true;
     else if (std::strcmp(a, "--supervise") == 0)
       opt.supervise_dir = value(i, a);
     else if (std::strcmp(a, "--ckpt-every") == 0)
@@ -153,8 +149,6 @@ CliOptions parse_cli(int argc, char** argv) {
       opt.seed = std::strtoull(a, nullptr, 10);
   }
   if (opt.num_cycles == 0) throw std::invalid_argument("--cycles must be positive");
-  if (opt.no_cache && !opt.cache_dir.empty())
-    throw std::invalid_argument("--no-cache and --cache-dir are mutually exclusive");
   if (opt.train_images >= opt.total_images)
     throw std::invalid_argument("--train must be smaller than --images");
   if (!opt.supervise_dir.empty()) {

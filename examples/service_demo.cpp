@@ -18,8 +18,8 @@
 //   --images N        dataset size per tenant (default 120)
 //   --root DIR        checkpoint root directory (default service_demo_ckpt)
 //   --faults          arm a deployment fault profile on every odd tenant
-//   --cache-dir DIR   artifact-cache root (default <root>/_artifacts)
-//   --no-cache        disable the shared retrain cache (docs/CACHING.md)
+//   --cache-dir DIR   memoize retrains through a shared artifact cache rooted
+//                     at DIR (default: no cache; docs/CACHING.md)
 
 #include <cstdlib>
 #include <cstring>
@@ -49,8 +49,7 @@ struct CliOptions {
   std::size_t images = 120;
   std::string root = "service_demo_ckpt";
   bool faults = false;
-  std::string cache_dir;  // empty = default <root>/_artifacts
-  bool no_cache = false;
+  std::string cache_dir;  // empty = no artifact cache (the default)
 };
 
 CliOptions parse_cli(int argc, char** argv) {
@@ -81,8 +80,6 @@ CliOptions parse_cli(int argc, char** argv) {
       opt.faults = true;
     else if (std::strcmp(a, "--cache-dir") == 0)
       opt.cache_dir = value(i, a);
-    else if (std::strcmp(a, "--no-cache") == 0)
-      opt.no_cache = true;
     else if (a[0] == '-')
       throw std::invalid_argument(std::string("unknown flag: ") + a);
     else
@@ -92,8 +89,6 @@ CliOptions parse_cli(int argc, char** argv) {
   if (opt.cycles == 0) throw std::invalid_argument("--cycles must be positive");
   if (opt.images < 40) throw std::invalid_argument("--images must be at least 40");
   if (opt.root.empty()) throw std::invalid_argument("--root must be non-empty");
-  if (opt.no_cache && !opt.cache_dir.empty())
-    throw std::invalid_argument("--no-cache and --cache-dir are mutually exclusive");
   return opt;
 }
 
@@ -154,11 +149,9 @@ static int run(int argc, char** argv) {
   mgr_cfg.max_resident = opt.max_resident;
   mgr_cfg.max_generations = 2;
   mgr_cfg.num_threads = opt.threads;
-  // The shared retrain cache is on by default, rooted next to the rings so
-  // a scrubbed demo directory also scrubs its artifacts; --cache-dir moves
-  // it somewhere persistent (where a rerun's retrains all hit).
-  if (!opt.no_cache)
-    mgr_cfg.cache_dir = opt.cache_dir.empty() ? opt.root + "/_artifacts" : opt.cache_dir;
+  // The shared retrain cache is opt-in: the default tenants draw distinct
+  // seeds, so they never share a retrain and every lookup would miss.
+  mgr_cfg.cache_dir = opt.cache_dir;
   service::TenantManager manager(mgr_cfg);
   for (std::size_t i = 0; i < opt.tenants; ++i) manager.add_tenant(make_spec(opt, i));
 
@@ -216,7 +209,7 @@ static int run(int argc, char** argv) {
               << " misses, " << cs.stores << " stores ("
               << c->config().dir << "; hit==recompute, docs/CACHING.md)\n";
   } else {
-    std::cout << "Artifact cache: disabled (--no-cache)\n";
+    std::cout << "Artifact cache: off (enable with --cache-dir DIR)\n";
   }
   std::cout
             << "\nEvery tenant's trace above is byte-identical to running it "

@@ -182,6 +182,16 @@ if grep -rnE 'save_model_file|load_model_file|max_digits10' src/nn src/experts >
   err "src/nn or src/experts brings back the text model encoding (lines above)"
 fi
 
+# --- 13. one fork-join call ---------------------------------------------------
+# The library forks and joins only through util::parallel_chunks(pool, n,
+# work_per_item, fn), which runs inline when the pool cannot help; callers
+# keep no serial fallback of their own. The pool's old chunked entry points,
+# its which-thread-am-I query and its test-only future helper must not come
+# back under src/.
+if grep -rnE 'parallel_for|parallel_chunks_grained|parallel_chunks_work|on_worker|wait_all' src/ >&2; then
+  err "src/ names a deleted ThreadPool entry point (lines above)"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "ckpt/io.hpp"
 #include "experts/bovw.hpp"
@@ -13,6 +14,13 @@
 #include "util/thread_pool.hpp"
 
 namespace crowdlearn::experts {
+
+namespace {
+/// Work per item for the committee's fan-outs: one expert's training or
+/// vote, or one image's votes, outweighs ThreadPool::kMinChunkWork many
+/// times over, so every item may take a chunk of its own.
+constexpr std::size_t kOneChunkEach = util::ThreadPool::kMinChunkWork;
+}  // namespace
 
 ExpertCommittee::ExpertCommittee(std::vector<std::unique_ptr<DdaAlgorithm>> experts)
     : experts_(std::move(experts)) {
@@ -152,12 +160,11 @@ std::vector<Rng> fork_per_expert(Rng& rng, std::size_t num_experts) {
 void ExpertCommittee::run_forked(
     Rng& rng, const std::function<void(std::size_t, DdaAlgorithm&, Rng&)>& step) {
   std::vector<Rng> children = fork_per_expert(rng, experts_.size());
-  if (pool_ != nullptr && pool_->size() > 1 && experts_.size() > 1) {
-    pool_->parallel_for(experts_.size(),
-                        [&](std::size_t m) { step(m, *experts_[m], children[m]); });
-  } else {
-    for (std::size_t m = 0; m < experts_.size(); ++m) step(m, *experts_[m], children[m]);
-  }
+  util::parallel_chunks(pool_, experts_.size(), kOneChunkEach,
+                        [&](std::size_t begin, std::size_t end) {
+                          for (std::size_t m = begin; m < end; ++m)
+                            step(m, *experts_[m], children[m]);
+                        });
   reinstate_quarantined();
 }
 
@@ -207,13 +214,11 @@ void ExpertCommittee::retrain_all(const dataset::Dataset& data,
 std::vector<std::vector<double>> ExpertCommittee::expert_votes(
     const dataset::DisasterImage& image) {
   std::vector<std::vector<double>> votes(experts_.size());
-  if (pool_ != nullptr && pool_->size() > 1 && experts_.size() > 1) {
-    pool_->parallel_for(experts_.size(),
-                        [&](std::size_t m) { votes[m] = experts_[m]->predict_proba(image); });
-  } else {
-    for (std::size_t m = 0; m < experts_.size(); ++m)
-      votes[m] = experts_[m]->predict_proba(image);
-  }
+  util::parallel_chunks(pool_, experts_.size(), kOneChunkEach,
+                        [&](std::size_t begin, std::size_t end) {
+                          for (std::size_t m = begin; m < end; ++m)
+                            votes[m] = experts_[m]->predict_proba(image);
+                        });
   return votes;
 }
 
@@ -222,28 +227,19 @@ std::vector<std::vector<std::vector<double>>> ExpertCommittee::expert_votes_batc
   obs::SpanScope span(obs::tracer_of(obs_), "committee.votes_batch", "experts");
   span.arg("images", static_cast<double>(ids.size()));
   const auto t0 = std::chrono::steady_clock::now();
-  auto record_batch_time = [&] {
-    if (obs_batch_seconds_ != nullptr) {
-      obs_batch_seconds_->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-    }
-  };
   std::vector<std::vector<std::vector<double>>> out(ids.size());
-  if (pool_ == nullptr || pool_->size() <= 1 || ids.size() <= 1) {
-    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = expert_votes(data.image(ids[i]));
-    record_batch_time();
-    return out;
-  }
-  // Private replica per chunk: inference mutates layer caches, so the
-  // shared roster cannot serve two threads. Clones carry the exact trained
-  // parameters, so every chunk computes the same bits the serial path would.
-  // Called from one of the pool's own workers (a serving dispatch), the
-  // batch stays one chunk with one roster clone: further chunks would each
-  // pay a clone on the request's latency path while other dispatches
-  // compete for the same workers.
-  const std::size_t grain = pool_->on_worker() ? ids.size() : 1;
-  pool_->parallel_chunks_grained(ids.size(), grain,
-                                 [&](std::size_t begin, std::size_t end) {
+  // Chunks on the calling thread vote on the committee's own experts, as a
+  // serial batch does. A helper chunk votes on a private replica, because
+  // inference mutates layer caches; clones carry the exact trained
+  // parameters and read none of the state a vote writes (Layer::clone), so
+  // they compute the same bits while the caller votes beside them.
+  const std::thread::id caller = std::this_thread::get_id();
+  util::parallel_chunks(pool_, ids.size(), kOneChunkEach,
+                        [&](std::size_t begin, std::size_t end) {
+    if (std::this_thread::get_id() == caller) {
+      for (std::size_t i = begin; i < end; ++i) out[i] = expert_votes(data.image(ids[i]));
+      return;
+    }
     std::vector<std::unique_ptr<DdaAlgorithm>> replica;
     replica.reserve(experts_.size());
     for (const auto& e : experts_) replica.push_back(e->clone());
@@ -254,7 +250,10 @@ std::vector<std::vector<std::vector<double>>> ExpertCommittee::expert_votes_batc
       out[i] = std::move(votes);
     }
   });
-  record_batch_time();
+  if (obs_batch_seconds_ != nullptr) {
+    obs_batch_seconds_->observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
   return out;
 }
 

@@ -32,10 +32,10 @@ class ExpertCommittee {
   /// execution produce byte-identical results: chunking is static, results
   /// land in preallocated per-index slots, and training RNG streams are
   /// forked from the master seed before dispatch. The pool is also forwarded
-  /// to every expert so their im2col/GEMM kernels can chunk batch work when
-  /// the committee-level loops run serially; nested parallel sections run
-  /// inline on the worker (ThreadPool nesting rule), so the determinism
-  /// contract holds at every level.
+  /// to every expert so their im2col/GEMM kernels can chunk batch work;
+  /// those nested sections join on the same pool with static chunk
+  /// boundaries (util::parallel_chunks), so the determinism contract holds
+  /// at every level.
   void set_thread_pool(util::ThreadPool* pool);
   util::ThreadPool* thread_pool() const { return pool_; }
 
@@ -75,9 +75,10 @@ class ExpertCommittee {
 
   /// Expert votes for a whole image batch: out[i][m] = expert m's
   /// distribution for image ids[i]. With a pool attached the batch is
-  /// image-parallel: each static chunk runs on a private clone of the expert
-  /// roster (inference mutates layer activation caches, so experts cannot be
-  /// shared across threads), which yields the same bits as the serial path.
+  /// image-parallel: chunks the calling thread runs vote on this roster, and
+  /// each helper chunk on a private clone of it (inference mutates layer
+  /// activation caches, so experts cannot be shared across threads). Every
+  /// chunk yields the bits the serial path would.
   std::vector<std::vector<std::vector<double>>> expert_votes_batch(
       const dataset::Dataset& data, const std::vector<std::size_t>& ids);
 

@@ -67,12 +67,13 @@ template <typename ScanFeature>
 SplitCandidate best_split(const std::vector<std::size_t>& feats, util::ThreadPool* pool,
                           ScanFeature&& scan) {
   std::vector<SplitCandidate> candidates(feats.size());
-  auto scan_one = [&](std::size_t fi) { candidates[fi] = scan(feats[fi]); };
-  if (pool != nullptr && pool->size() > 1 && feats.size() > 1) {
-    pool->parallel_for(feats.size(), scan_one);
-  } else {
-    for (std::size_t fi = 0; fi < feats.size(); ++fi) scan_one(fi);
-  }
+  // One feature per chunk: a grain sized by node work kept small nodes'
+  // scans on the calling thread, which grew glibc's per-thread arenas.
+  util::parallel_chunks(pool, feats.size(), util::ThreadPool::kMinChunkWork,
+                        [&](std::size_t begin, std::size_t end) {
+                          for (std::size_t fi = begin; fi < end; ++fi)
+                            candidates[fi] = scan(feats[fi]);
+                        });
   SplitCandidate best;
   for (const SplitCandidate& cand : candidates)
     if (improves(cand, best)) best = cand;

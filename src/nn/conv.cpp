@@ -10,25 +10,9 @@
 
 namespace crowdlearn::nn {
 
-namespace {
-
-/// Static-chunk [0, n) over the pool (serial when null/single-threaded),
-/// each chunk carrying at least ThreadPool::kMinChunkWork operations given
-/// the per-item cost. Every chunked loop below writes disjoint preallocated
-/// slots and keeps each accumulator's term order independent of the
-/// partition, so the bits match the serial path at any thread count (the
-/// pool's static-chunk contract).
-template <typename ChunkFn>
-void run_chunks(util::ThreadPool* pool, std::size_t n, std::size_t work_per_item,
-                ChunkFn&& fn) {
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_chunks_work(n, work_per_item, fn);
-  } else if (n > 0) {
-    fn(std::size_t{0}, n);
-  }
-}
-
-}  // namespace
+// Every chunked loop below (util::parallel_chunks) writes disjoint
+// preallocated slots and keeps each accumulator's term order independent of
+// the partition, so the bits match the serial path at any thread count.
 
 Conv2D::Conv2D(Shape3 input_shape, std::size_t out_channels, std::size_t kernel, Rng& rng)
     : in_shape_(input_shape),
@@ -102,7 +86,7 @@ void Conv2D::forward_into(const Matrix& input, Matrix& out, bool training) {
   Matrix& wt = ws.buffer(layer_id_, 1, ckk, oc_n);
   Matrix& om = ws.buffer(layer_id_, 2, batch * hw, oc_n);
 
-  run_chunks(pool, batch, hw * ckk, [&](std::size_t sb, std::size_t se) {
+  util::parallel_chunks(pool, batch, hw * ckk, [&](std::size_t sb, std::size_t se) {
     kernels::im2col_rows(input, in_shape_, k_, pad_, cols, sb, se);
   });
   kernels::transpose_weights(w_, wt);
@@ -110,12 +94,12 @@ void Conv2D::forward_into(const Matrix& input, Matrix& out, bool training) {
   // with the `a == 0.0` skip on the im2col value — exactly the term sequence
   // (and skip set: padding and in-bounds zeros alike) of the naive kernel,
   // so the doubles are byte-identical. Rows are independent, hence chunkable.
-  run_chunks(pool, batch * hw, ckk * oc_n, [&](std::size_t rb, std::size_t re) {
+  util::parallel_chunks(pool, batch * hw, ckk * oc_n, [&](std::size_t rb, std::size_t re) {
     kernels::fill_bias_rows(b_, om, rb, re);
     cols.matmul_rows_accumulate(wt, om, rb, re);
   });
   out.reshape(batch, out_shape_.size());
-  run_chunks(pool, batch, hw * oc_n, [&](std::size_t sb, std::size_t se) {
+  util::parallel_chunks(pool, batch, hw * oc_n, [&](std::size_t sb, std::size_t se) {
     kernels::scatter_channel_major(om, out, oc_n, hw, sb, se);
   });
 
@@ -152,7 +136,7 @@ void Conv2D::backward_params(const Matrix& grad_output) {
   // db(oc) sums the same nonzero gradients in the same order. Output
   // channels own disjoint dw rows / db slots, so chunks by channel are
   // bit-stable.
-  run_chunks(ws.pool(), oc_n, batch * hw * ckk, [&](std::size_t ob, std::size_t oe) {
+  util::parallel_chunks(ws.pool(), oc_n, batch * hw * ckk, [&](std::size_t ob, std::size_t oe) {
     for (std::size_t oc = ob; oc < oe; ++oc) {
       double* dwrow = &dw_.data()[oc * ckk];
       double dbv = db_.data()[oc];
@@ -185,7 +169,7 @@ void Conv2D::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   // source x) ascending with the naive `grad == 0.0` skip, so the bits are
   // the naive kernel's. Training gradients reach a conv through ReLU and
   // MaxPool, so most are zeros and the skip does most of the work.
-  run_chunks(scratch().pool(), batch, work, [&](std::size_t sb, std::size_t se) {
+  util::parallel_chunks(scratch().pool(), batch, work, [&](std::size_t sb, std::size_t se) {
     std::fill(grad_input.data().begin() + static_cast<std::ptrdiff_t>(sb * in_size),
               grad_input.data().begin() + static_cast<std::ptrdiff_t>(se * in_size), 0.0);
     kernels::conv2d_grad_input_scatter(g, w_, grad_output, grad_input, sb, se);
@@ -224,8 +208,7 @@ void MaxPool2D::forward_into(const Matrix& input, Matrix& out, bool /*training*/
   // Samples are independent: chunk by sample. Window candidates are visited
   // (dy, dx) = (0,0), (0,1), (1,0), (1,1) with a strict `>`, so ties and the
   // all-NaN fallback (index 0) pick the same input as always.
-  util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
-  run_chunks(pool, batch, in_size, [&](std::size_t sb, std::size_t se) {
+  util::parallel_chunks(pool_of(ws_), batch, in_size, [&](std::size_t sb, std::size_t se) {
     for (std::size_t s = sb; s < se; ++s) {
       const double* x = &input.data()[s * in_size];
       double* y = &out.data()[s * out_size];
@@ -261,8 +244,7 @@ void MaxPool2D::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   const std::size_t batch = grad_output.rows();
   const std::size_t in_size = in_shape_.size();
   grad_input.reshape(batch, in_size);
-  util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
-  run_chunks(pool, batch, in_size, [&](std::size_t sb, std::size_t se) {
+  util::parallel_chunks(pool_of(ws_), batch, in_size, [&](std::size_t sb, std::size_t se) {
     for (std::size_t s = sb; s < se; ++s) {
       const double* g = &grad_output.data()[s * out_size];
       const std::size_t* am = &argmax_[s * out_size];

@@ -75,10 +75,9 @@ class MaxPool2D : public Layer {
  public:
   explicit MaxPool2D(Shape3 input_shape);
 
-  /// Copies the argmax cache; the workspace binding stays with the original.
-  MaxPool2D(const MaxPool2D& o)
-      : in_shape_(o.in_shape_), out_shape_(o.out_shape_), argmax_(o.argmax_),
-        argmax_batch_(o.argmax_batch_) {}
+  /// Copies the shapes only; the argmax cache and the workspace binding
+  /// stay with the original.
+  MaxPool2D(const MaxPool2D& o) : in_shape_(o.in_shape_), out_shape_(o.out_shape_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;

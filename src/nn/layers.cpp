@@ -10,21 +10,6 @@ namespace crowdlearn::nn {
 
 namespace {
 
-/// Static-chunk the row range [0, n) over the workspace pool (serial when
-/// unbound or single-threaded), each chunk carrying at least
-/// ThreadPool::kMinChunkWork operations given the per-row cost. Rows are
-/// independent targets, so any chunk partition yields the bits the serial
-/// loop would.
-template <typename ChunkFn>
-void run_row_chunks(Workspace* ws, std::size_t n, std::size_t work_per_row, ChunkFn&& fn) {
-  util::ThreadPool* pool = ws != nullptr ? ws->pool() : nullptr;
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_chunks_work(n, work_per_row, fn);
-  } else if (n > 0) {
-    fn(std::size_t{0}, n);
-  }
-}
-
 /// dst = src^T into a reused buffer (reshaped, capacity kept).
 void transpose_into(const Matrix& src, Matrix& dst) {
   dst.reshape(src.cols(), src.rows());
@@ -35,6 +20,9 @@ void transpose_into(const Matrix& src, Matrix& dst) {
 }
 
 }  // namespace
+
+// The row loops below chunk over util::parallel_chunks. Rows are independent
+// targets, so any chunk partition yields the bits the serial loop would.
 
 Dense::Dense(std::size_t in, std::size_t out, Rng& rng)
     : in_(in), out_(out), w_(in, out), b_(1, out), dw_(in, out), db_(1, out) {
@@ -58,10 +46,10 @@ void Dense::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   // Row-parallel GEMM: each output row's dot products are computed whole on
   // one thread, so the sum order (and therefore every bit) matches the
   // serial input.matmul(w_). Bias is added after, as it always was.
-  run_row_chunks(ws_, input.rows(), in_ * out_,
-                 [&](std::size_t begin, std::size_t end) {
-                   input.matmul_rows_into(w_, out, begin, end);
-                 });
+  util::parallel_chunks(pool_of(ws_), input.rows(), in_ * out_,
+                        [&](std::size_t begin, std::size_t end) {
+                          input.matmul_rows_into(w_, out, begin, end);
+                        });
   out.add_row_broadcast(b_);
 }
 
@@ -76,7 +64,7 @@ void Dense::backward_params(const Matrix& grad_output) {
   // gradient. Rows of the panel are independent.
   transpose_into(cached_input_, input_t_);
   dw_panel_.reshape(in_, out_);
-  run_row_chunks(ws_, in_, batch * out_, [&](std::size_t rb, std::size_t re) {
+  util::parallel_chunks(pool_of(ws_), in_, batch * out_, [&](std::size_t rb, std::size_t re) {
     input_t_.matmul_rows_into(grad_output, dw_panel_, rb, re);
     for (std::size_t i = rb * out_; i < re * out_; ++i) dw_.data()[i] += dw_panel_.data()[i];
   });
@@ -106,7 +94,7 @@ void Dense::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   const double* g = grad_output.data().data();
   const double* w = w_.data().data();
   double* dx = grad_input.data().data();
-  run_row_chunks(ws_, batch, out_ * in_, [&](std::size_t rb, std::size_t re) {
+  util::parallel_chunks(pool_of(ws_), batch, out_ * in_, [&](std::size_t rb, std::size_t re) {
     for (std::size_t r = rb; r < re; ++r) {
       const double* grow = g + r * out_;
       std::size_t* live = live_cols_.data() + r * out_;
@@ -154,14 +142,13 @@ void ReLU::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
   const double* x = input.data().data();
   double* cache = cached_input_.data().data();
   double* y = out.data().data();
-  run_row_chunks(ws_, input.rows(), cols,
-                 [&](std::size_t rb, std::size_t re) {
-                   for (std::size_t i = rb * cols; i < re * cols; ++i) {
-                     const double v = x[i];
-                     cache[i] = v;
-                     y[i] = v > 0.0 ? v : 0.0;
-                   }
-                 });
+  util::parallel_chunks(pool_of(ws_), input.rows(), cols, [&](std::size_t rb, std::size_t re) {
+    for (std::size_t i = rb * cols; i < re * cols; ++i) {
+      const double v = x[i];
+      cache[i] = v;
+      y[i] = v > 0.0 ? v : 0.0;
+    }
+  });
 }
 
 void ReLU::backward_input(const Matrix& grad_output, Matrix& grad_input) {
@@ -173,11 +160,11 @@ void ReLU::backward_input(const Matrix& grad_output, Matrix& grad_input) {
   const double* g = grad_output.data().data();
   const double* x = cached_input_.data().data();
   double* dx = grad_input.data().data();
-  run_row_chunks(ws_, grad_output.rows(), cols,
-                 [&](std::size_t rb, std::size_t re) {
-                   for (std::size_t i = rb * cols; i < re * cols; ++i)
-                     dx[i] = x[i] <= 0.0 ? 0.0 : g[i];
-                 });
+  util::parallel_chunks(pool_of(ws_), grad_output.rows(), cols,
+                        [&](std::size_t rb, std::size_t re) {
+                          for (std::size_t i = rb * cols; i < re * cols; ++i)
+                            dx[i] = x[i] <= 0.0 ? 0.0 : g[i];
+                        });
 }
 
 const Matrix& ReLU::last_input() const {

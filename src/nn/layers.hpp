@@ -80,8 +80,12 @@ class Layer {
   virtual std::size_t output_size() const = 0;
   virtual std::string name() const = 0;
 
-  /// Deep copy, including learned parameters (gradients and activation
-  /// caches copy along but are irrelevant to the clone's future use).
+  /// Deep copy of the learned state (parameters, their gradients and any
+  /// RNG stream). It reads nothing a forward or backward_input writes —
+  /// activation caches and scratch stay behind, and the clone needs a
+  /// forward of its own before any backward — so a roster can be cloned on
+  /// one thread while another runs inference on it
+  /// (ExpertCommittee::expert_votes_batch).
   virtual std::unique_ptr<Layer> clone() const = 0;
 };
 
@@ -89,12 +93,11 @@ class Layer {
 class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Rng& rng);
-  /// Copies learned state; the workspace binding and the backward scratch
-  /// stay with the original (Sequential::clone rebinds its copies to the
-  /// clone's workspace).
+  /// Copies learned state; the workspace binding, the input cache and the
+  /// backward scratch stay with the original (Sequential::clone rebinds its
+  /// copies to the clone's workspace).
   Dense(const Dense& o)
-      : in_(o.in_), out_(o.out_), w_(o.w_), b_(o.b_), dw_(o.dw_), db_(o.db_),
-        cached_input_(o.cached_input_) {}
+      : in_(o.in_), out_(o.out_), w_(o.w_), b_(o.b_), dw_(o.dw_), db_(o.db_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
@@ -129,9 +132,9 @@ class Dense : public Layer {
 class ReLU : public Layer {
  public:
   explicit ReLU(std::size_t size) : size_(size) {}
-  /// Copies the activation cache; the workspace binding stays with the
-  /// original.
-  ReLU(const ReLU& o) : size_(o.size_), cached_input_(o.cached_input_) {}
+  /// Copies the shape only; the activation cache and the workspace binding
+  /// stay with the original.
+  ReLU(const ReLU& o) : size_(o.size_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
@@ -157,6 +160,8 @@ class ReLU : public Layer {
 class Tanh : public Layer {
  public:
   explicit Tanh(std::size_t size) : size_(size) {}
+  /// Copies the shape only; the output cache stays with the original.
+  Tanh(const Tanh& o) : size_(o.size_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
@@ -176,6 +181,9 @@ class Tanh : public Layer {
 class Dropout : public Layer {
  public:
   Dropout(std::size_t size, double rate, Rng& rng);
+  /// Copies the shape, rate and RNG stream; the mask and the mode of the
+  /// latest forward stay with the original.
+  Dropout(const Dropout& o) : size_(o.size_), rate_(o.rate_), rng_(o.rng_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;

@@ -64,4 +64,9 @@ class Workspace {
   std::size_t grow_count_ = 0;
 };
 
+/// The pool of a layer's bound workspace; nullptr (serial) when unbound.
+inline util::ThreadPool* pool_of(const Workspace* ws) {
+  return ws != nullptr ? ws->pool() : nullptr;
+}
+
 }  // namespace crowdlearn::nn

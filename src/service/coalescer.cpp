@@ -58,8 +58,8 @@ std::future<std::vector<std::size_t>> BatchCoalescer::submit_classify(
       schedule = true;
     }
   }
-  // Outside the lock: with a single-threaded pool submit() runs the dispatch
-  // inline on this thread, and it must not re-enter mutex_ while we hold it.
+  // Outside the lock: a single-threaded pool runs the dispatch inline on this
+  // thread, and it must not re-enter mutex_ while we hold it.
   if (schedule) mgr_.pool().submit([this, tenant] { dispatch_lane(tenant); });
   if (wake_linger && linger_thread_.joinable()) linger_cv_.notify_all();
   return future;
@@ -170,8 +170,8 @@ void BatchCoalescer::flush() {
     std::vector<std::string> to_schedule;
     for (auto& [tenant, lane] : lanes_) schedule_locked(tenant, lane, &to_schedule);
     if (!to_schedule.empty()) {
-      // Off-lock: with a single-threaded pool submit() runs the dispatch
-      // inline, and it must not re-enter mutex_ while we hold it.
+      // Off-lock: a single-threaded pool runs the dispatch inline, and it
+      // must not re-enter mutex_ while we hold it.
       lk.unlock();
       for (const std::string& tenant : to_schedule)
         mgr_.pool().submit([this, tenant] { dispatch_lane(tenant); });

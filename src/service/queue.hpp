@@ -7,10 +7,11 @@
 // through the queue is byte-identical to calling the manager directly),
 // while different tenants drain concurrently up to the pool's worker count.
 //
-// The pool's nesting rule keeps this safe: a cycle running inside a drain
-// task re-enters the same pool for committee inference, which executes
-// inline — deterministically identical to any other thread count under the
-// static-chunk contract.
+// The pool's join keeps this safe: a cycle running inside a drain task
+// re-enters the same pool for committee inference and training through
+// util::parallel_chunks, whose caller runs only chunks of its own call
+// (never another tenant's task) and whose static chunk boundaries make the
+// result identical at any thread count.
 
 #include <condition_variable>
 #include <cstddef>
@@ -102,9 +103,9 @@ auto ServiceQueue::enqueue(const std::string& tenant, Fn fn) -> std::future<decl
       schedule = true;
     }
   }
-  // Submit outside the lock: with a single-threaded pool submit() runs the
-  // drain inline on this thread (synchronous execution, same results), and
-  // it must not re-enter mutex_ while we hold it.
+  // Submit outside the lock: a single-threaded pool runs the drain inline on
+  // this thread (synchronous execution, same results), and it must not
+  // re-enter mutex_ while we hold it. With workers the drain always queues.
   if (schedule) mgr_.pool().submit([this, tenant] { drain_lane(tenant); });
   return future;
 }

@@ -18,11 +18,6 @@ std::size_t resolve_thread_count(std::size_t requested) {
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);
 }
 
-ThreadPool*& ThreadPool::current_pool() {
-  static thread_local ThreadPool* current = nullptr;
-  return current;
-}
-
 ThreadPool::ThreadPool(std::size_t num_threads) : threads_(resolve_thread_count(num_threads)) {
   if (threads_ < 2) return;  // inline mode: no workers, submit() runs on the caller
   workers_.reserve(threads_);
@@ -45,7 +40,6 @@ void ThreadPool::shutdown() {
 }
 
 void ThreadPool::worker_loop() {
-  current_pool() = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -60,7 +54,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-/// Shared state of one parallel_chunks_grained call. Helpers hold it by
+/// Shared state of one parallel_chunks() join. Helpers hold it by
 /// shared_ptr, so a helper that starts after the caller returned still finds
 /// valid counters — it claims nothing and never dereferences `ctx`.
 struct ThreadPool::Join {

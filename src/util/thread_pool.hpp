@@ -3,9 +3,10 @@
 //
 // The library's reproducibility contract is bit-identical outputs per seed,
 // so the pool is built around three rules that every caller must follow:
-//   1. Static chunking: work over [0, n) is split into at most size()
-//      contiguous chunks whose boundaries depend only on n and size() — never
-//      on timing — and each chunk writes to disjoint, preallocated slots.
+//   1. Static chunking: parallel_chunks() splits [0, n) into at most size()
+//      contiguous chunks whose boundaries depend only on n, the work per
+//      item and size() — never on timing — and each chunk writes to
+//      disjoint, preallocated slots.
 //   2. Ordered reduction: chunk/task results are combined on the calling
 //      thread in index order; no atomics-based accumulation of doubles.
 //   3. Pre-split randomness: tasks never draw from a shared Rng. Callers fork
@@ -39,10 +40,10 @@ std::size_t resolve_thread_count(std::size_t requested = 0);
 ///
 /// A pool constructed with one thread spawns no workers at all: submit() runs
 /// the task inline on the caller, so serial runs pay zero synchronization
-/// cost and single-threaded determinism is trivial. submit() from one of the
-/// pool's own workers also runs inline.
+/// cost and single-threaded determinism is trivial. With workers, submit()
+/// always queues, also from one of the pool's own workers.
 ///
-/// Nesting. parallel_chunks_grained (and parallel_for on top of it) is a
+/// Fork-join goes through the free function parallel_chunks() below, a
 /// work-claiming join: the caller and up to chunks-1 queued helper tasks
 /// claim chunk indices from one shared counter, so a parallel section
 /// reached from inside a task still spreads over whichever workers are idle.
@@ -68,9 +69,6 @@ class ThreadPool {
   /// Worker count (>= 1; 1 means inline execution).
   std::size_t size() const { return threads_; }
 
-  /// True when the calling thread is one of this pool's workers.
-  bool on_worker() const { return current_pool() == this; }
-
   /// Stop accepting tasks, finish the queued ones and join the workers.
   /// Idempotent; called by the destructor. submit() afterwards throws.
   void shutdown();
@@ -82,59 +80,26 @@ class ThreadPool {
   void set_observability(obs::Observability* o);
 
   /// Queue one task. The returned future carries the result or the thrown
-  /// exception. Runs inline when the pool is single-threaded, already shut
-  /// down tasks throw, or when called from one of this pool's own workers.
+  /// exception. Runs inline only when the pool has no workers (one thread),
+  /// so a task submitted from a worker never runs under the locks its
+  /// submitter holds. After shutdown() it throws.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> fut = task->get_future();
-    bool inline_run = workers_.empty() || on_worker();
-    if (!inline_run) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (shutdown_) throw std::runtime_error("ThreadPool::submit after shutdown");
-      queue_.push_back({[this, task] { run_instrumented(*task); }, nullptr});
-      update_queue_depth_locked();
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (shutdown_) throw std::runtime_error("ThreadPool::submit after shutdown");
+    if (workers_.empty()) {
       lock.unlock();
-      cv_.notify_one();
+      run_instrumented(*task);
       return fut;
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (shutdown_) throw std::runtime_error("ThreadPool::submit after shutdown");
-    }
-    run_instrumented(*task);
+    queue_.push_back({[this, task] { run_instrumented(*task); }, nullptr});
+    update_queue_depth_locked();
+    lock.unlock();
+    cv_.notify_one();
     return fut;
-  }
-
-  /// Run fn(begin, end) over static contiguous chunks of [0, n), at most one
-  /// chunk per worker. Waits for every chunk, then rethrows the first failure
-  /// in chunk order. Chunk boundaries depend only on n and size().
-  template <typename ChunkFn>
-  void parallel_chunks(std::size_t n, ChunkFn&& fn) {
-    parallel_chunks_grained(n, 1, std::forward<ChunkFn>(fn));
-  }
-
-  /// parallel_chunks with a minimum grain: the chunk count is additionally
-  /// capped at n / min_grain, so no chunk is smaller than min_grain items
-  /// (tiny workloads run inline instead of paying dispatch overhead). Chunk
-  /// boundaries depend only on n, size() and min_grain — never on timing —
-  /// so the determinism contract above is unchanged. Safe to call from a
-  /// worker of this pool (see "Nesting" above).
-  template <typename ChunkFn>
-  void parallel_chunks_grained(std::size_t n, std::size_t min_grain, ChunkFn&& fn) {
-    if (n == 0) return;
-    if (min_grain == 0) min_grain = 1;
-    const std::size_t chunks = std::min({size(), n, std::max<std::size_t>(1, n / min_grain)});
-    if (chunks <= 1) {
-      fn(std::size_t{0}, n);
-      return;
-    }
-    using Fn = std::remove_reference_t<ChunkFn>;
-    join_chunks(n, chunks, const_cast<void*>(static_cast<const void*>(&fn)),
-                [](void* ctx, std::size_t begin, std::size_t end) {
-                  (*static_cast<Fn*>(ctx))(begin, end);
-                });
   }
 
   /// The smallest chunk worth a join, in elementary operations (a
@@ -146,43 +111,16 @@ class ThreadPool {
   /// 0.1-0.4 ns per multiply-add there, and elementwise loops about 1.4 ns
   /// per element, so 65536 operations last 7-90 us: at least one median
   /// wake-up, the point below which a hand-off delays the join more than
-  /// running the chunk on the caller would.
+  /// running the chunk on the caller would. An item that costs at least this
+  /// much (one expert, one GBDT feature scan, one image's votes) gets a
+  /// chunk to itself.
   static constexpr std::size_t kMinChunkWork = 65536;
 
-  /// parallel_chunks_grained with the grain derived from the cost of one
-  /// item: every chunk carries at least kMinChunkWork operations, and a
-  /// range that carries less runs inline as one chunk. `work_per_item` is a
-  /// pure function of the shapes, so the chunk boundaries still are too.
-  template <typename ChunkFn>
-  void parallel_chunks_work(std::size_t n, std::size_t work_per_item, ChunkFn&& fn) {
-    const std::size_t per_item = std::max<std::size_t>(1, work_per_item);
-    parallel_chunks_grained(n, std::max<std::size_t>(1, kMinChunkWork / per_item),
-                            std::forward<ChunkFn>(fn));
-  }
-
-  /// Run body(i) for every i in [0, n), chunked as in parallel_chunks.
-  template <typename Body>
-  void parallel_for(std::size_t n, Body&& body) {
-    parallel_chunks(n, [&body](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    });
-  }
-
-  /// Wait on every future (so no task can outlive its captures), then
-  /// rethrow the first exception in index order.
-  static void wait_all(std::vector<std::future<void>>& futures) {
-    std::exception_ptr first;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-  }
-
  private:
+  template <typename ChunkFn>
+  friend void parallel_chunks(ThreadPool* pool, std::size_t n, std::size_t work_per_item,
+                              ChunkFn&& fn);
+
   struct Join;
   using ChunkInvoker = void (*)(void* ctx, std::size_t begin, std::size_t end);
 
@@ -193,11 +131,9 @@ class ThreadPool {
     const Join* join = nullptr;
   };
 
-  /// The pool whose worker is executing the current thread, if any.
-  static ThreadPool*& current_pool();
   void worker_loop();
 
-  /// The work-claiming join behind parallel_chunks_grained: queue
+  /// The work-claiming join behind parallel_chunks(): queue
   /// chunks - 1 helpers, claim chunks on the caller until none is left,
   /// retract unstarted helpers, wait for the claimed chunks, rethrow the
   /// first failure in chunk order.
@@ -247,5 +183,36 @@ class ThreadPool {
   std::atomic<obs::Gauge*> obs_queue_depth_{nullptr};
   std::atomic<obs::Histogram*> obs_task_seconds_{nullptr};
 };
+
+/// Run fn(begin, end) over static contiguous chunks of [0, n) and wait for
+/// every chunk, then rethrow the first failure in chunk order. This is the
+/// library's one fork-join call.
+///
+/// `work_per_item` is the cost of one item in elementary operations, a pure
+/// function of the shapes: every chunk carries at least
+/// ThreadPool::kMinChunkWork of it, and there is at most one chunk per
+/// worker. So the chunk boundaries depend only on n, work_per_item and
+/// pool->size(), never on timing. The whole range runs inline as fn(0, n)
+/// when `pool` is null or single-threaded or the range carries too little
+/// work to split; an empty range calls nothing. Safe to call from a task of
+/// the same pool (see "Fork-join" on ThreadPool).
+template <typename ChunkFn>
+void parallel_chunks(ThreadPool* pool, std::size_t n, std::size_t work_per_item,
+                     ChunkFn&& fn) {
+  if (n == 0) return;
+  const std::size_t grain =
+      std::max<std::size_t>(1, ThreadPool::kMinChunkWork / std::max<std::size_t>(1, work_per_item));
+  const std::size_t chunks =
+      pool == nullptr ? 1 : std::min({pool->size(), n, std::max<std::size_t>(1, n / grain)});
+  if (chunks <= 1) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  using Fn = std::remove_reference_t<ChunkFn>;
+  pool->join_chunks(n, chunks, const_cast<void*>(static_cast<const void*>(&fn)),
+                    [](void* ctx, std::size_t begin, std::size_t end) {
+                      (*static_cast<Fn*>(ctx))(begin, end);
+                    });
+}
 
 }  // namespace crowdlearn::util

@@ -11,10 +11,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <numeric>
 #include <string>
 
+#include "experts/committee.hpp"
 #include "experts/ddm.hpp"
 #include "stats/distribution.hpp"
 #include "util/thread_pool.hpp"
@@ -233,6 +237,47 @@ TEST_F(DdmVoteTest, RetrainAfterInferenceEqualsRetrainWithout) {
   for (std::size_t i : data_->test_indices)
     expect_bits_eq(quiet->predict_proba(data_->image(i)), busy->predict_proba(data_->image(i)),
                    "vote after retrain, image " + std::to_string(i));
+}
+
+TEST_F(DdmVoteTest, CommitteeBatchInsideAPoolTaskMatchesSerialVotesBitwise) {
+  // A committee of both trained DDMs votes on every image: once serially,
+  // then with a pool attached, from the test thread and from inside a pool
+  // task (as a serving dispatch does). Chunks on the batch's calling thread
+  // vote on the committee's own roster while helper chunks clone it, so the
+  // clones must read none of the state those votes write; each batch runs
+  // twice so the second one clones layers whose caches are already filled.
+  auto make_committee = [] {
+    std::vector<std::unique_ptr<DdaAlgorithm>> roster;
+    for (const Trained& t : trained_) roster.push_back(t.ddm->clone());
+    return ExpertCommittee(std::move(roster));
+  };
+  std::vector<std::size_t> ids(data_->images.size());
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  ExpertCommittee serial = make_committee();
+  const auto want = serial.expert_votes_batch(*data_, ids);
+  auto expect_votes = [&](const std::vector<std::vector<std::vector<double>>>& got,
+                          const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].size(), want[i].size()) << what;
+      for (std::size_t m = 0; m < want[i].size(); ++m)
+        expect_bits_eq(want[i][m], got[i][m],
+                       what + ", image " + std::to_string(i) + ", expert " + std::to_string(m));
+    }
+  };
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    util::ThreadPool pool(threads);
+    ExpertCommittee committee = make_committee();
+    committee.set_thread_pool(&pool);
+    for (int round = 0; round < 2; ++round) {
+      const std::string what =
+          std::to_string(threads) + " threads, round " + std::to_string(round);
+      expect_votes(committee.expert_votes_batch(*data_, ids), what + ", test thread");
+      auto task = pool.submit([&] { return committee.expert_votes_batch(*data_, ids); });
+      ASSERT_EQ(task.wait_for(std::chrono::seconds(120)), std::future_status::ready) << what;
+      expect_votes(task.get(), what + ", pool task");
+    }
+  }
 }
 
 }  // namespace

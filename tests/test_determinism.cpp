@@ -79,9 +79,10 @@ void expect_identical(const std::vector<CycleOutcome>& a, const std::vector<Cycl
 TEST(Determinism, CnnCommitteeTrainingIsByteIdenticalAcrossThreadCounts) {
   // The im2col+GEMM convolution path chunks its batch loops over the same
   // pool as the committee, so a CNN expert exercises pool nesting: the
-  // committee parallelizes over experts/images and the conv kernels then run
-  // inline on the workers. Training + batch inference must still be
-  // byte-identical at any thread count.
+  // committee parallelizes over experts/images and the conv kernels' joins,
+  // started on the workers, spread over whichever workers are idle.
+  // Training + batch inference must still be byte-identical at any thread
+  // count.
   auto run = [](std::size_t threads) {
     dataset::DatasetConfig gen_cfg;
     gen_cfg.total_images = 60;

@@ -123,7 +123,8 @@ TEST(GemmTiled, RowPartitionsAreThreadCountInvariant) {
     util::ThreadPool pool(threads);
     Matrix out(a.rows(), b.cols(), 7.0);  // stale contents: rows_into zero-fills
     Matrix ref_out(a.rows(), b.cols(), 7.0);
-    pool.parallel_chunks(a.rows(), [&](std::size_t begin, std::size_t end) {
+    util::parallel_chunks(&pool, a.rows(), a.cols() * b.cols(),
+                          [&](std::size_t begin, std::size_t end) {
       a.matmul_rows_into(b, out, begin, end);
       oracle::reference_matmul_rows_into(a, b, ref_out, begin, end);
     });

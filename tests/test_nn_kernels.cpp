@@ -42,16 +42,19 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line, so the compiler never pairs an inlined
+// malloc() with an inlined free() or operator delete call site and warns
+// about a mismatch. Every delete forwards to the one unsized form.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace crowdlearn::nn {
 namespace {

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <future>
 #include <numeric>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
@@ -13,6 +15,20 @@
 
 namespace crowdlearn::obs {
 namespace {
+
+/// Wait on every future (so no task outlives its captures), then rethrow the
+/// first exception in index order.
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
 
 TEST(CounterTest, IncrementsAndReads) {
   Counter c;
@@ -110,7 +126,7 @@ TEST(RegistryTest, ConcurrentIncrementsFromThreadPoolSumExactly) {
       }
     }));
   }
-  util::ThreadPool::wait_all(futures);
+  wait_all(futures);
 
   EXPECT_EQ(c.value(), kTasks * kPerTask);
   const Histogram::Snapshot s = h.snapshot();
@@ -143,7 +159,7 @@ TEST(RegistryTest, SnapshotNeverTearsUnderLoad) {
     ASSERT_DOUBLE_EQ(s.sum, 2.0 * static_cast<double>(s.count));
   }
   stop.store(true, std::memory_order_relaxed);
-  util::ThreadPool::wait_all(writers);
+  wait_all(writers);
 }
 
 TEST(RegistryTest, PrometheusTextFormat) {

@@ -20,6 +20,26 @@
 namespace crowdlearn::util {
 namespace {
 
+/// body(i) for every i in [0, n), one item per chunk at most: the chunking
+/// the committee and the GBDT split scan use.
+template <typename Body>
+void for_each_index(ThreadPool& pool, std::size_t n, Body&& body) {
+  parallel_chunks(&pool, n, ThreadPool::kMinChunkWork, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+  });
+}
+
+/// Fail (and end the process, so a deadlocked pool cannot hang the suite)
+/// unless `fut` is ready within `limit`.
+template <typename T>
+void expect_ready_or_die(std::future<T>& fut, std::chrono::seconds limit, const char* what) {
+  if (fut.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << what;
+    std::fprintf(stderr, "watchdog: %s\n", what);
+    std::_Exit(1);
+  }
+}
+
 TEST(ThreadPool, SubmitReturnsResultThroughFuture) {
   ThreadPool pool(4);
   auto fut = pool.submit([] { return 6 * 7; });
@@ -42,10 +62,10 @@ TEST(ThreadPool, TaskExceptionPropagatesThroughFuture) {
 TEST(ThreadPool, ParallelForPropagatesBodyException) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool(threads);
-    EXPECT_THROW(pool.parallel_for(100,
-                                   [](std::size_t i) {
-                                     if (i == 57) throw std::invalid_argument("bad index");
-                                   }),
+    EXPECT_THROW(for_each_index(pool, 100,
+                                [](std::size_t i) {
+                                  if (i == 57) throw std::invalid_argument("bad index");
+                                }),
                  std::invalid_argument);
   }
 }
@@ -55,11 +75,11 @@ TEST(ThreadPool, ChunkExceptionDoesNotCancelOtherChunks) {
   // every chunk to finish, then rethrows.
   ThreadPool pool(4);
   std::vector<int> visited(64, 0);
-  EXPECT_THROW(pool.parallel_chunks(visited.size(),
-                                    [&](std::size_t begin, std::size_t end) {
-                                      for (std::size_t i = begin; i < end; ++i) visited[i] = 1;
-                                      if (begin == 0) throw std::runtime_error("first chunk");
-                                    }),
+  EXPECT_THROW(parallel_chunks(&pool, visited.size(), ThreadPool::kMinChunkWork,
+                               [&](std::size_t begin, std::size_t end) {
+                                 for (std::size_t i = begin; i < end; ++i) visited[i] = 1;
+                                 if (begin == 0) throw std::runtime_error("first chunk");
+                               }),
                std::runtime_error);
   EXPECT_EQ(std::accumulate(visited.begin(), visited.end(), 0),
             static_cast<int>(visited.size()));
@@ -79,14 +99,14 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(4);
   std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](std::size_t) { calls.fetch_add(1); });
+  for_each_index(pool, 0, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForSingleElementRange) {
   ThreadPool pool(4);
   std::vector<int> hits(1, 0);
-  pool.parallel_for(1, [&](std::size_t i) { hits[i] += 1; });
+  for_each_index(pool, 1, [&](std::size_t i) { hits[i] += 1; });
   EXPECT_EQ(hits[0], 1);
 }
 
@@ -94,7 +114,7 @@ TEST(ThreadPool, ParallelForOddSizedRangesCoverEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   for (std::size_t n : {std::size_t{3}, std::size_t{7}, std::size_t{101}, std::size_t{1013}}) {
     std::vector<int> hits(n, 0);
-    pool.parallel_for(n, [&](std::size_t i) { hits[i] += 1; });
+    for_each_index(pool, n, [&](std::size_t i) { hits[i] += 1; });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << "index " << i << " of " << n;
   }
 }
@@ -104,7 +124,7 @@ TEST(ThreadPool, ParallelChunksAreContiguousAndOrdered) {
   std::vector<std::pair<std::size_t, std::size_t>> bounds(pool.size(),
                                                           {std::size_t{0}, std::size_t{0}});
   std::atomic<std::size_t> next{0};
-  pool.parallel_chunks(10, [&](std::size_t begin, std::size_t end) {
+  parallel_chunks(&pool, 10, ThreadPool::kMinChunkWork, [&](std::size_t begin, std::size_t end) {
     bounds[next.fetch_add(1)] = {begin, end};
   });
   // Chunk boundaries depend only on (n, size): sorted they must tile [0, 10).
@@ -119,8 +139,8 @@ TEST(ThreadPool, ParallelChunksAreContiguousAndOrdered) {
 }
 
 TEST(ThreadPool, WorkGrainKeepsSmallRangesInOneInlineChunk) {
-  // parallel_chunks_work: a range carrying less than kMinChunkWork runs as
-  // one chunk on the caller; enough work per item splits it per worker.
+  // A range carrying less than kMinChunkWork runs as one chunk on the
+  // caller; enough work per item splits it per worker.
   ThreadPool pool(4);
   std::vector<std::pair<std::size_t, std::size_t>> bounds;
   std::mutex m;
@@ -128,26 +148,70 @@ TEST(ThreadPool, WorkGrainKeepsSmallRangesInOneInlineChunk) {
     std::lock_guard<std::mutex> lock(m);
     bounds.emplace_back(begin, end);
   };
-  pool.parallel_chunks_work(8, /*work_per_item=*/1, record);
+  parallel_chunks(&pool, 8, /*work_per_item=*/1, record);
   ASSERT_EQ(bounds.size(), 1u);
   EXPECT_EQ(bounds[0], std::make_pair(std::size_t{0}, std::size_t{8}));
   bounds.clear();
-  pool.parallel_chunks_work(8, ThreadPool::kMinChunkWork, record);
+  parallel_chunks(&pool, 8, ThreadPool::kMinChunkWork, record);
   EXPECT_EQ(bounds.size(), 4u);
   bounds.clear();
   // Half the threshold per item: two items per chunk, four chunks.
-  pool.parallel_chunks_work(8, ThreadPool::kMinChunkWork / 2, record);
+  parallel_chunks(&pool, 8, ThreadPool::kMinChunkWork / 2, record);
   EXPECT_EQ(bounds.size(), 4u);
   bounds.clear();
-  pool.parallel_chunks_work(3, ThreadPool::kMinChunkWork / 2, record);
+  parallel_chunks(&pool, 3, ThreadPool::kMinChunkWork / 2, record);
   EXPECT_EQ(bounds.size(), 1u);
+}
+
+TEST(ThreadPool, NullOrSingleThreadedPoolRunsTheRangeInlineAsOneChunk) {
+  // No pool, a one-thread pool, or a range of one item: fn(0, n) on the
+  // caller, whatever the work per item. An empty range calls nothing.
+  ThreadPool single(1);
+  ThreadPool wide(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &single, &wide}) {
+    const std::size_t n = pool == &wide ? 1 : 10;
+    std::vector<std::pair<std::size_t, std::size_t>> bounds;
+    std::set<std::thread::id> threads;
+    parallel_chunks(pool, n, ThreadPool::kMinChunkWork, [&](std::size_t begin, std::size_t end) {
+      bounds.emplace_back(begin, end);
+      threads.insert(std::this_thread::get_id());
+    });
+    ASSERT_EQ(bounds.size(), 1u);
+    EXPECT_EQ(bounds[0], std::make_pair(std::size_t{0}, n));
+    EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+    parallel_chunks(pool, 0, ThreadPool::kMinChunkWork,
+                    [&](std::size_t, std::size_t) { ADD_FAILURE() << "empty range ran"; });
+  }
+}
+
+TEST(ThreadPool, SubmitFromATaskHoldingALockQueuesInsteadOfDeadlocking) {
+  // A task holds a non-recursive mutex and submits a task that needs the
+  // same mutex. The inner task must queue: run inline on the submitting
+  // worker it would lock the mutex its own thread holds and never return.
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    std::mutex serial;  // stands in for a tenant's serial lock
+    bool inner_ran = false;
+    auto outer = pool.submit([&] {
+      std::lock_guard<std::mutex> hold(serial);
+      return pool.submit([&] {
+        std::lock_guard<std::mutex> lock(serial);
+        inner_ran = true;
+      });
+    });
+    expect_ready_or_die(outer, std::chrono::seconds(30), "submit from a task deadlocked");
+    std::future<void> inner = outer.get();
+    expect_ready_or_die(inner, std::chrono::seconds(30), "task submitted from a task never ran");
+    inner.get();
+    EXPECT_TRUE(inner_ran) << threads << " threads";
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossManyWaves) {
   ThreadPool pool(4);
   for (int wave = 0; wave < 50; ++wave) {
     std::vector<std::size_t> out(17, 0);
-    pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = i * i; });
+    for_each_index(pool, out.size(), [&](std::size_t i) { out[i] = i * i; });
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
   }
 }
@@ -158,21 +222,10 @@ TEST(ThreadPool, NestedParallelismOnABusyPoolCompletesWithoutDeadlock) {
   // caller must claim its own chunks instead of waiting for a free worker.
   ThreadPool pool(2);
   std::atomic<int> inner_calls{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    pool.parallel_for(8, [&](std::size_t) { inner_calls.fetch_add(1); });
+  for_each_index(pool, 4, [&](std::size_t) {
+    for_each_index(pool, 8, [&](std::size_t) { inner_calls.fetch_add(1); });
   });
   EXPECT_EQ(inner_calls.load(), 32);
-}
-
-/// Fail (and end the process, so a deadlocked pool cannot hang the suite)
-/// unless `fut` is ready within `limit`.
-template <typename T>
-void expect_ready_or_die(std::future<T>& fut, std::chrono::seconds limit, const char* what) {
-  if (fut.wait_for(limit) != std::future_status::ready) {
-    ADD_FAILURE() << what;
-    std::fprintf(stderr, "watchdog: %s\n", what);
-    std::_Exit(1);
-  }
 }
 
 TEST(ThreadPool, NestedParallelForReachesIdleWorkers) {
@@ -185,14 +238,14 @@ TEST(ThreadPool, NestedParallelForReachesIdleWorkers) {
   std::condition_variable cv;
   std::set<std::thread::id> threads;
   auto outer = pool.submit([&] {
-    pool.parallel_for(4, [&](std::size_t) {
+    for_each_index(pool, 4, [&](std::size_t) {
       std::unique_lock<std::mutex> lock(m);
       threads.insert(std::this_thread::get_id());
       cv.notify_all();
       cv.wait_for(lock, std::chrono::seconds(10), [&] { return threads.size() >= 2; });
     });
   });
-  expect_ready_or_die(outer, std::chrono::seconds(60), "nested parallel_for never finished");
+  expect_ready_or_die(outer, std::chrono::seconds(60), "nested section never finished");
   outer.get();
   std::lock_guard<std::mutex> lock(m);
   EXPECT_GE(threads.size(), 2u) << "nested chunks never left the calling worker";
@@ -201,7 +254,7 @@ TEST(ThreadPool, NestedParallelForReachesIdleWorkers) {
 TEST(ThreadPool, JoiningCallerNeverRunsForeignTasks) {
   // The deadlock a help-with-anything join would hit: an outer task holds a
   // non-recursive mutex, a foreign task that needs the same mutex is queued
-  // behind it, and the outer task then joins a nested parallel_for. A
+  // behind it, and the outer task then joins a nested section. A
   // caller that ran the foreign task while joining would lock the mutex it
   // already holds. The join only ever runs chunks of its own call.
   ThreadPool pool(2);
@@ -226,14 +279,14 @@ TEST(ThreadPool, JoiningCallerNeverRunsForeignTasks) {
     std::lock_guard<std::mutex> hold(serial);
     serial_held.store(true);
     wait_for_flag(foreign_queued);
-    pool.parallel_for(64, [&](std::size_t) {
+    for_each_index(pool, 64, [&](std::size_t) {
       chunks_run.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     });
     release_blocker.store(true);
   });
-  // Queued from outside the pool (a worker's own submit() runs inline), once
-  // both workers are busy and the outer task holds the lock.
+  // Queued from outside the pool once both workers are busy and the outer
+  // task holds the lock.
   wait_for_flag(blocker_running);
   wait_for_flag(serial_held);
   auto foreign = pool.submit([&] { std::lock_guard<std::mutex> lock(serial); });
@@ -256,7 +309,7 @@ TEST(ThreadPool, NestedChunkExceptionsRethrowFirstInChunkOrder) {
   std::atomic<int> finished{0};
   auto outer = pool.submit([&]() -> std::string {
     try {
-      pool.parallel_chunks(4, [&](std::size_t begin, std::size_t) {
+      parallel_chunks(&pool, 4, ThreadPool::kMinChunkWork, [&](std::size_t begin, std::size_t) {
         if (begin == 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
           finished.fetch_add(1);
