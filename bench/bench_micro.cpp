@@ -18,6 +18,7 @@
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
 #include "obs/observability.hpp"
+#include "oracle/exact_gbdt.hpp"
 #include "oracle/naive_conv.hpp"
 #include "oracle/reference_gemm.hpp"
 #include "truth/cqc.hpp"
@@ -210,12 +211,14 @@ void BM_GbdtFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtFit)->Arg(200)->Arg(560);
 
-// --- CQC retrain: histogram vs exact split engine (docs/GBDT.md) ---
+// --- CQC retrain: histogram engine vs the exact-engine oracle (docs/GBDT.md) ---
 //
 // Arg = corpus-scale multiplier: 56 labeled queries at 1x, 5600 at 100x,
 // bracketing a real deployment's every-cycle retrain as the labeled pool
-// accumulates. BM_CqcRetrainExact runs the retained exact reference engine
-// on the same corpus; the perf-regression gate is
+// accumulates. BM_CqcRetrainHist is the library's CQC fit;
+// BM_CqcRetrainExact fits the exact-split oracle (tests/oracle/) on the same
+// corpus's truth::cqc_features matrix with the same GBDT config. Both legs
+// extract features inside the timed loop. The perf-regression gate is
 // time(exact) / time(hist) >= 3 at the 100x scale (scripts/bench_json.sh
 // records both in BENCH_micro.json). The engines agree on accuracy
 // (tests/test_gbdt_hist.cpp).
@@ -237,13 +240,17 @@ std::vector<truth::LabeledQuery> cqc_bench_corpus(std::size_t n, Rng& rng) {
   return corpus;
 }
 
-void cqc_retrain_bench(benchmark::State& state, gbdt::SplitEngine engine) {
+truth::CqcConfig cqc_bench_config() {
+  truth::CqcConfig cfg;
+  cfg.gbdt.num_rounds = 8;
+  return cfg;
+}
+
+void BM_CqcRetrainHist(benchmark::State& state) {
   const auto scale = static_cast<std::size_t>(state.range(0));
   Rng rng(13);
   const std::vector<truth::LabeledQuery> corpus = cqc_bench_corpus(56 * scale, rng);
-  truth::CqcConfig cfg;
-  cfg.gbdt.engine = engine;
-  cfg.gbdt.num_rounds = 8;
+  const truth::CqcConfig cfg = cqc_bench_config();
   for (auto _ : state) {
     truth::CqcAggregator cqc(cfg);
     cqc.fit(corpus);
@@ -252,14 +259,29 @@ void cqc_retrain_bench(benchmark::State& state, gbdt::SplitEngine engine) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(corpus.size()));
 }
-
-void BM_CqcRetrainHist(benchmark::State& state) {
-  cqc_retrain_bench(state, gbdt::SplitEngine::kHistogram);
-}
 BENCHMARK(BM_CqcRetrainHist)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_CqcRetrainExact(benchmark::State& state) {
-  cqc_retrain_bench(state, gbdt::SplitEngine::kExactReference);
+  const auto scale = static_cast<std::size_t>(state.range(0));
+  Rng rng(13);
+  const std::vector<truth::LabeledQuery> corpus = cqc_bench_corpus(56 * scale, rng);
+  const truth::CqcConfig cfg = cqc_bench_config();
+  for (auto _ : state) {
+    std::vector<std::vector<double>> rows;
+    std::vector<std::size_t> labels;
+    rows.reserve(corpus.size());
+    labels.reserve(corpus.size());
+    for (const truth::LabeledQuery& q : corpus) {
+      rows.push_back(truth::cqc_features(q.response, cfg.delay_scale));
+      labels.push_back(q.true_label);
+    }
+    oracle::ExactGbdt model;
+    model.fit(gbdt::FeatureMatrix::from_rows(rows), labels, dataset::kNumSeverityClasses,
+              cfg.gbdt);
+    benchmark::DoNotOptimize(model);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(corpus.size()));
 }
 BENCHMARK(BM_CqcRetrainExact)->Arg(1)->Arg(10)->Arg(100);
 
@@ -291,7 +313,6 @@ void cached_retrain_step(cache::ArtifactCache& cache, const dataset::Dataset& da
   committee.train_all(data, data.train_indices, rng, &cache, dd);
   committee.retrain_all(data, queried_ids, truth_labels, rng, &cache, dd);
   truth::CqcConfig cfg;  // production default rounds (truth/cqc.hpp)
-  cfg.gbdt.engine = gbdt::SplitEngine::kHistogram;
   core::CqcModule cqc(cfg);
   cqc.set_artifact_cache(&cache);
   cqc.fit(corpus);

@@ -8,9 +8,10 @@
 # Default (full) mode runs the perf-gate set — conv forward/backward and the
 # VGG16-like Sequential train step on the library and on the naive reference
 # kernels (tests/oracle/), the tiled-vs-reference GEMM pair, committee
-# inference, the CQC retrain in both GBDT split engines, and the
-# artifact-cache cold/warm retrain pair (BM_CqcRetrainCachedCold vs
-# BM_CqcRetrainCachedWarm; docs/CACHING.md) — then prints every
+# inference, the CQC retrain on the histogram engine and on the exact-split
+# oracle (tests/oracle/exact_gbdt.hpp), and the artifact-cache cold/warm
+# retrain pair (BM_CqcRetrainCachedCold vs BM_CqcRetrainCachedWarm;
+# docs/CACHING.md) — then prints every
 # optimized-over-reference speedup and FAILS if the BM_Conv2DForward,
 # BM_SequentialTrainStep, or BM_CqcRetrainHist/100 speedup drops below the
 # 3x regression gate, BM_GemmTiled/512 below its 2x gate, or
@@ -25,7 +26,8 @@
 # compile mode, which says nothing about ours), and gating or snapshotting
 # Debug timings would poison the committed baseline.
 #
-# --quick is the CI smoke mode: the cheap conv benchmarks, a short
+# --quick is the CI smoke mode: the cheap conv benchmarks and the 1x CQC
+# retrain pair (histogram engine and exact oracle, once each), a short
 # min_time, no speedup gate (shared runners make timing ratios
 # meaningless), any build type allowed, and a separate default output file
 # so the committed snapshot is not clobbered by throwaway numbers.
@@ -47,7 +49,7 @@ while [ $# -gt 0 ]; do
       [ $# -ge 2 ] || { echo "bench_json.sh: --out needs a value" >&2; exit 2; }
       shift; OUT=$1 ;;
     -h|--help)
-      sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+      sed -n '2,35p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "bench_json.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -92,7 +94,7 @@ fi
 
 if [ "$QUICK" -eq 1 ]; then
   [ -n "$OUT" ] || OUT=BENCH_micro.quick.json
-  FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive'
+  FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive|BM_CqcRetrain(Hist|Exact)/1$'
   MIN_TIME=--benchmark_min_time=0.02
 else
   [ -n "$OUT" ] || OUT=BENCH_micro.json
@@ -110,7 +112,7 @@ echo "bench_json.sh: running $BIN (filter: $FILTER) -> $OUT"
 # --- speedup report (and, in full mode, the regression gates) ---------------
 # Four reference pairings: every BM_<X>Naive/<args> with a BM_<X>/<args>
 # sibling (naive reference kernels over im2col), every BM_CqcRetrainExact/<args> with
-# its BM_CqcRetrainHist/<args> sibling (exact split engine over the
+# its BM_CqcRetrainHist/<args> sibling (exact-split oracle over the
 # histogram engine), every BM_GemmReference/<args> with its
 # BM_GemmTiled/<args> sibling (row-major reference over the cache-blocked
 # kernel), and every BM_CqcRetrainCachedCold/<args> with its

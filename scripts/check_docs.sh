@@ -2,13 +2,20 @@
 # Doc/code drift lint, run as a tier-1 ctest (see add_test in the root
 # CMakeLists.txt; WORKING_DIRECTORY is the repo root).
 #
-# Three checks:
-#   1. every `src/<dir>/<file>.hpp` path referenced in the markdown docs
-#      exists on disk;
+# Fourteen checks, numbered in the sections below:
+#   1. every `src/`, `tests/`, `bench/` and `examples/` source path referenced
+#      in the markdown docs exists on disk;
 #   2. every `crowdlearn_*` metric name documented in docs/OBSERVABILITY.md
-#      appears somewhere in src/;
+#      appears somewhere in src/, and every registered metric is documented;
 #   3. every `bench_*` binary named in EXPERIMENTS.md or README.md is a real
-#      target in bench/CMakeLists.txt.
+#      target in bench/CMakeLists.txt, and every target is in EXPERIMENTS.md;
+#   4. the ctest labels the docs name are wired in tests/CMakeLists.txt;
+#   5. the committed golden files exist;
+#   6. the perf harness script and its BENCH_micro.json snapshot agree;
+#   7-10. the tenancy, serving, recovery and caching docs stay linked;
+#   11-14. removed code stays out of src/: oracle headers and kernel toggles,
+#      the text model encoding, the old fork-join entry points, and the
+#      exact GBDT split engine with its serialized bin boundaries.
 #
 # POSIX sh + grep/sed only — no bash-isms, no external deps.
 
@@ -190,6 +197,15 @@ fi
 # back under src/.
 if grep -rnE 'parallel_for|parallel_chunks_grained|parallel_chunks_work|on_worker|wait_all' src/ >&2; then
   err "src/ names a deleted ThreadPool entry point (lines above)"
+fi
+
+# --- 14. one GBDT split engine ------------------------------------------------
+# The library grows trees only with the histogram engine (src/gbdt/hist.hpp);
+# the exact engine is the test/bench oracle (tests/oracle/exact_gbdt.hpp).
+# The engine selector, the exact fit and the serialized bin-boundary section
+# must not come back under src/.
+if grep -rnE 'SplitEngine|kExactReference|fit_exact|split_engine_name|BIN1' src/ >&2; then
+  err "src/ names the exact GBDT split engine or its checkpoint section (lines above)"
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -38,8 +38,10 @@ namespace crowdlearn::ckpt {
 
 inline constexpr char kMagic[8] = {'C', 'R', 'O', 'W', 'D', 'C', 'K', 'P'};
 /// Version 2 stores expert networks as raw layer records (nn/serialize.hpp);
-/// a version-1 image (decimal-text networks) fails with kBadVersion.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// version 3 drops the split-engine byte, max_bins and bin boundaries from
+/// the GBDT forest section (GBT3). Any older image (version 1: decimal-text
+/// networks; version 2: GBT2 forests) fails with kBadVersion.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::size_t kHeaderSize = 24;
 
 /// Typed failure classes for checkpoint I/O.

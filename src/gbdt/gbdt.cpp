@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "gbdt/hist.hpp"
+
 namespace crowdlearn::gbdt {
 
 namespace {
@@ -24,8 +26,8 @@ void softmax_rows(std::vector<double>& scores, std::size_t n, std::size_t k) {
 }
 
 /// Row subsample for one boosting round, shared across the round's K trees.
-/// Both engines draw through this helper in the same fit-loop position, so
-/// the RNG stream — and therefore the chosen rows — is engine-independent.
+/// The exact-engine oracle (tests/oracle/exact_gbdt.cpp) makes the same draw
+/// in the same fit-loop position, so both see the same rows.
 std::vector<std::size_t> round_subsample(std::size_t n, double subsample, Rng& rng) {
   std::vector<std::size_t> rows;
   if (subsample < 1.0) {
@@ -52,76 +54,22 @@ void Gbdt::fit(const FeatureMatrix& x, const std::vector<std::size_t>& y,
     throw std::invalid_argument("Gbdt::fit: subsample must be in (0, 1]");
 
   k_ = num_classes;
-  base_score_ = 0.0;
   lr_ = cfg.learning_rate;
-  engine_ = cfg.engine;
-  max_bins_ = cfg.max_bins;
-  bounds_ = BinBoundaries{};
   trees_.clear();
   trees_.reserve(cfg.num_rounds * k_);
 
-  Rng rng(cfg.seed);
-  if (cfg.engine == SplitEngine::kHistogram)
-    fit_histogram(x, y, cfg, rng);
-  else
-    fit_exact(x, y, cfg, rng);
-}
-
-void Gbdt::fit_exact(const FeatureMatrix& x, const std::vector<std::size_t>& y,
-                     const GbdtConfig& cfg, Rng& rng) {
-  const std::size_t n = x.rows;
-  std::vector<double> scores(n * k_, base_score_);
-  std::vector<double> probs(n * k_);
-
-  for (std::size_t round = 0; round < cfg.num_rounds; ++round) {
-    probs = scores;
-    softmax_rows(probs, n, k_);
-
-    const std::vector<std::size_t> rows = round_subsample(n, cfg.subsample, rng);
-
-    // Build the subsampled feature matrix once per round.
-    FeatureMatrix xs;
-    xs.rows = rows.size();
-    xs.cols = x.cols;
-    xs.values.resize(xs.rows * xs.cols);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      for (std::size_t c = 0; c < x.cols; ++c) xs.values[i * x.cols + c] = x.at(rows[i], c);
-
-    for (std::size_t cls = 0; cls < k_; ++cls) {
-      std::vector<double> g(rows.size()), h(rows.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const double p = probs[rows[i] * k_ + cls];
-        const double target = (y[rows[i]] == cls) ? 1.0 : 0.0;
-        g[i] = p - target;
-        h[i] = std::max(p * (1.0 - p), 1e-6);
-      }
-      RegressionTree tree;
-      tree.fit(xs, g, h, cfg.tree, rng);
-      // Update the full score table with the shrunken tree output.
-      for (std::size_t i = 0; i < n; ++i)
-        scores[i * k_ + cls] += cfg.learning_rate * tree.predict_row(x, i);
-      trees_.push_back(std::move(tree));
-    }
-  }
-}
-
-void Gbdt::fit_histogram(const FeatureMatrix& x, const std::vector<std::size_t>& y,
-                         const GbdtConfig& cfg, Rng& rng) {
-  const std::size_t n = x.rows;
   // Quantize once per retrain: column build + boundary computation + bin
   // codes. Every round then reuses the codes; no per-node sorting remains.
+  const std::size_t n = x.rows;
   const HistTrainSet ts(x, cfg.max_bins);
-  bounds_ = ts.bounds();
-
-  std::vector<double> scores(n * k_, base_score_);
+  Rng rng(cfg.seed);
+  std::vector<double> scores(n * k_, 0.0);
   std::vector<double> probs(n * k_);
   std::vector<double> g(n), h(n);
 
   for (std::size_t round = 0; round < cfg.num_rounds; ++round) {
     probs = scores;
     softmax_rows(probs, n, k_);
-
-    // Same draw, in the same stream position, as the exact engine.
     const std::vector<std::size_t> rows = round_subsample(n, cfg.subsample, rng);
 
     for (std::size_t cls = 0; cls < k_; ++cls) {
@@ -143,7 +91,7 @@ void Gbdt::fit_histogram(const FeatureMatrix& x, const std::vector<std::size_t>&
 
 std::vector<double> Gbdt::raw_scores(const std::vector<double>& features) const {
   if (trees_.empty()) throw std::logic_error("Gbdt: predict before fit");
-  std::vector<double> scores(k_, base_score_);
+  std::vector<double> scores(k_, 0.0);
   const std::size_t rounds = trees_.size() / k_;
   for (std::size_t round = 0; round < rounds; ++round)
     for (std::size_t cls = 0; cls < k_; ++cls)

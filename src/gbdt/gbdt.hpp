@@ -1,12 +1,15 @@
 #pragma once
 // Multiclass gradient-boosted decision trees with the softmax objective —
 // the same model family as XGBoost, which the paper's CQC module uses to
-// fuse worker labels with questionnaire evidence.
+// fuse worker labels with questionnaire evidence. Trees are grown by the
+// histogram split engine (gbdt/hist.hpp, docs/GBDT.md); the exact per-node
+// sort search it is differential-tested against lives in the test oracle
+// (tests/oracle/exact_gbdt.hpp).
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
-#include "gbdt/hist.hpp"
 #include "gbdt/tree.hpp"
 #include "util/rng.hpp"
 
@@ -16,10 +19,7 @@ struct GbdtConfig {
   std::size_t num_rounds = 60;     ///< boosting rounds (trees per class)
   double learning_rate = 0.15;     ///< shrinkage
   double subsample = 0.8;          ///< row subsampling per round
-  /// Split engine (docs/GBDT.md): histogram is the production default; the
-  /// exact engine is the differential-testing reference.
-  SplitEngine engine = SplitEngine::kHistogram;
-  std::size_t max_bins = 64;       ///< histogram engine: max quantile bins per feature
+  std::size_t max_bins = 64;       ///< max quantile bins per feature (gbdt/hist.hpp)
   TreeConfig tree;                 ///< per-tree configuration
   std::uint64_t seed = 1;
 };
@@ -43,15 +43,9 @@ class Gbdt {
   std::size_t num_rounds() const { return k_ == 0 ? 0 : trees_.size() / k_; }
   bool trained() const { return !trees_.empty(); }
 
-  /// Engine the model was fit (or loaded) with.
-  SplitEngine engine() const { return engine_; }
-  std::size_t max_bins() const { return max_bins_; }
-  /// Bin boundaries of the last histogram fit (empty for the exact engine).
-  /// Serialized with the model so a resumed CQC re-serializes byte-identically.
-  const BinBoundaries& bin_bounds() const { return bounds_; }
-
-  /// Checkpoint hooks (src/ckpt, gbdt/serialize.cpp): persist / restore the
-  /// fitted ensemble bit-exactly, including shrinkage and base score.
+  /// Checkpoint hooks (src/ckpt, gbdt/serialize.cpp): persist / restore what
+  /// prediction reads — class count, shrinkage and the trees — bit-exactly.
+  /// The bin boundaries are not kept: the next fit recomputes them.
   void save_state(ckpt::Writer& w) const;
   void load_state(ckpt::Reader& r);
 
@@ -63,22 +57,14 @@ class Gbdt {
 
  private:
   std::size_t k_ = 0;
-  double base_score_ = 0.0;
   double lr_ = 0.1;  ///< shrinkage captured from the fit config
-  SplitEngine engine_ = SplitEngine::kHistogram;
-  std::size_t max_bins_ = 64;
-  BinBoundaries bounds_;               // histogram engine only; else empty
   std::vector<RegressionTree> trees_;  // round-major: trees_[round * k_ + class]
 
-  void fit_exact(const FeatureMatrix& x, const std::vector<std::size_t>& y,
-                 const GbdtConfig& cfg, Rng& rng);
-  void fit_histogram(const FeatureMatrix& x, const std::vector<std::size_t>& y,
-                     const GbdtConfig& cfg, Rng& rng);
   std::vector<double> raw_scores(const std::vector<double>& features) const;
 };
 
 /// Fold every fit-relevant GbdtConfig knob into a cache key: rounds,
-/// shrinkage, subsampling, split engine + bins, tree shape and seed. The
+/// shrinkage, subsampling, bins, tree shape and seed. The
 /// tree's thread pool is deliberately excluded — fitted models are
 /// byte-identical at any thread count (TreeConfig::pool contract).
 void hash_config(ckpt::Hasher128& h, const GbdtConfig& cfg);

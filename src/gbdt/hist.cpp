@@ -12,16 +12,6 @@
 
 namespace crowdlearn::gbdt {
 
-const char* split_engine_name(SplitEngine engine) {
-  switch (engine) {
-    case SplitEngine::kHistogram:
-      return "histogram";
-    case SplitEngine::kExactReference:
-      return "exact";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // ColumnMatrix
 // ---------------------------------------------------------------------------
@@ -107,7 +97,7 @@ BinBoundaries BinBoundaries::compute(const ColumnMatrix& cm, std::size_t max_bin
     if (m <= max_bins) {
       // Exact binning: every distinct value gets its own bin, cuts at the
       // midpoints between adjacent distinct values. This is the regime where
-      // the histogram engine provably matches the exact engine
+      // the histogram engine provably matches the exact-engine oracle
       // (docs/GBDT.md, tests/test_gbdt_hist.cpp).
       for (std::size_t k = 0; k + 1 < m; ++k) push_cut(k);
     } else {
@@ -243,7 +233,7 @@ std::int32_t RegressionTree::build_hist(const HistTrainSet& ts, const std::vecto
 
         // Scan the fixed cuts left-to-right. Strictly-better-gain keeps the
         // first (lowest-threshold) cut on exact ties — the same preference
-        // the exact engine's scan encodes, before the cross-feature
+        // the exact-engine oracle's scan encodes, before the cross-feature
         // tie-break in detail::improves.
         double gl = 0.0, hl = 0.0;
         std::size_t nl = 0;

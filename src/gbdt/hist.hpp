@@ -1,8 +1,8 @@
 #pragma once
 // Histogram/column-format split engine for the GBDT behind CQC
-// (docs/GBDT.md). The exact engine in gbdt/tree.cpp re-sorts every node's
-// rows per feature; at CQC-retrain scale that sort dominates. This engine
-// instead does the per-retrain work once up front:
+// (docs/GBDT.md), the library's only split engine. An exact engine re-sorts
+// every node's rows per feature; at CQC-retrain scale that sort dominates.
+// This engine instead does the per-retrain work once up front:
 //
 //   1. ColumnMatrix — CSC-style pre-sorted feature columns (missing/zero
 //      skip), built once per retrain from the row-major FeatureMatrix;
@@ -16,7 +16,10 @@
 // feature's histogram is filled by exactly one task in fixed row order, and
 // candidates reduce through the shared tie-break in gbdt/split.hpp — so the
 // fitted tree is byte-identical at any thread count
-// (tests/test_gbdt_hist.cpp).
+// (tests/test_gbdt_hist.cpp). The exact engine survives only as the
+// differential-testing oracle (tests/oracle/exact_gbdt.hpp); the boundaries
+// are rebuilt by every fit and never persisted, since prediction reads only
+// the trees' thresholds.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,17 +28,6 @@
 #include "gbdt/tree.hpp"
 
 namespace crowdlearn::gbdt {
-
-/// Which split search a Gbdt fit runs. Histogram is the production default;
-/// the exact engine is retained as the differential-testing reference. The
-/// engine is part of the fitted model's checkpoint section, so unlike the
-/// NN reference kernels (tests/oracle/) it stays in the library.
-enum class SplitEngine : std::uint8_t {
-  kHistogram = 0,
-  kExactReference = 1,
-};
-
-const char* split_engine_name(SplitEngine engine);
 
 /// CSC-style column store: for each feature, the (row, value) entries sorted
 /// by (value, row). Missing entries (NaN) are always skipped and their rows
@@ -82,8 +74,7 @@ class ColumnMatrix {
 /// max_bins bins by rank — when a feature has <= max_bins distinct values
 /// every distinct value gets its own bin and the binning is EXACT (the
 /// identical-predictions regime of the differential suite). Computed before
-/// any parallel work and serialized with the model, so retrain determinism
-/// never depends on thread count.
+/// any parallel work, so retrain determinism never depends on thread count.
 class BinBoundaries {
  public:
   BinBoundaries() = default;
@@ -91,7 +82,6 @@ class BinBoundaries {
   static BinBoundaries compute(const ColumnMatrix& cm, std::size_t max_bins);
 
   std::size_t cols() const { return cuts_.size(); }
-  bool empty() const { return cuts_.empty(); }
   std::size_t num_bins(std::size_t f) const { return cuts_[f].size() + 1; }
   /// Interior cut points of one feature, strictly increasing.
   const std::vector<double>& cuts(std::size_t f) const { return cuts_[f]; }
@@ -103,11 +93,6 @@ class BinBoundaries {
   std::uint16_t bin_of(std::size_t f, double v) const;
 
   bool operator==(const BinBoundaries& other) const { return cuts_ == other.cuts_; }
-
-  /// Checkpoint hooks (gbdt/serialize.cpp): boundaries travel inside the
-  /// Gbdt section so a resumed model re-serializes byte-identically.
-  void save_state(ckpt::Writer& w) const;
-  void load_state(ckpt::Reader& r);
 
  private:
   std::vector<std::vector<double>> cuts_;

@@ -12,7 +12,6 @@
 #include "ckpt/io.hpp"
 #include "gbdt/adaboost.hpp"
 #include "gbdt/gbdt.hpp"
-#include "gbdt/hist.hpp"
 #include "gbdt/tree.hpp"
 
 namespace crowdlearn::gbdt {
@@ -20,11 +19,11 @@ namespace crowdlearn::gbdt {
 namespace {
 constexpr char kRegTreeTag[4] = {'R', 'T', 'R', '1'};
 constexpr char kClsTreeTag[4] = {'C', 'T', 'R', '1'};
-// GBT2: v1 plus split engine, max_bins and bin boundaries (PR 6). No GBT1
-// checkpoints were ever persisted outside a single process run, so the tag
-// is bumped rather than given a legacy decode path.
-constexpr char kGbdtTag[4] = {'G', 'B', 'T', '2'};
-constexpr char kBinsTag[4] = {'B', 'I', 'N', '1'};
+// GBT3 holds only what prediction reads: class count, shrinkage, trees.
+// Older forest sections exist only in older container versions, which fail
+// with kBadVersion before this section is reached, so there is no legacy
+// decode path.
+constexpr char kGbdtTag[4] = {'G', 'B', 'T', '3'};
 constexpr char kAdaTag[4] = {'A', 'D', 'A', '1'};
 
 // Children must point inside the node table (or be -1 for leaves).
@@ -115,55 +114,18 @@ void DecisionTreeClassifier::load_state(ckpt::Reader& r) {
   nodes_ = std::move(nodes);
 }
 
-void BinBoundaries::save_state(ckpt::Writer& w) const {
-  w.begin_section(kBinsTag);
-  w.u64(cuts_.size());
-  for (const std::vector<double>& col : cuts_) w.vec_f64(col);
-}
-
-void BinBoundaries::load_state(ckpt::Reader& r) {
-  r.expect_section(kBinsTag);
-  const std::uint64_t cols = r.u64();
-  std::vector<std::vector<double>> cuts;
-  cuts.reserve(cols);
-  for (std::uint64_t f = 0; f < cols; ++f) {
-    std::vector<double> col = r.vec_f64();
-    for (std::size_t b = 0; b + 1 < col.size(); ++b) {
-      if (!(col[b] < col[b + 1])) {
-        throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
-                              "BinBoundaries cuts not strictly increasing");
-      }
-    }
-    cuts.push_back(std::move(col));
-  }
-  cuts_ = std::move(cuts);
-}
-
 void Gbdt::save_state(ckpt::Writer& w) const {
   w.begin_section(kGbdtTag);
-  w.u8(static_cast<std::uint8_t>(engine_));
-  w.u64(max_bins_);
   w.u64(k_);
-  w.f64(base_score_);
   w.f64(lr_);
-  bounds_.save_state(w);
   w.u64(trees_.size());
   for (const RegressionTree& t : trees_) t.save_state(w);
 }
 
 void Gbdt::load_state(ckpt::Reader& r) {
   r.expect_section(kGbdtTag);
-  const std::uint8_t engine_byte = r.u8();
-  if (engine_byte > static_cast<std::uint8_t>(SplitEngine::kExactReference)) {
-    throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
-                          "Gbdt split engine byte out of range");
-  }
-  const std::uint64_t max_bins = r.u64();
   const std::uint64_t k = r.u64();
-  const double base_score = r.f64();
   const double lr = r.f64();
-  BinBoundaries bounds;
-  bounds.load_state(r);
   const std::uint64_t count = r.u64();
   if (k > 0 && count % k != 0) {
     throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
@@ -175,12 +137,8 @@ void Gbdt::load_state(ckpt::Reader& r) {
   }
   std::vector<RegressionTree> trees(count);
   for (std::uint64_t i = 0; i < count; ++i) trees[i].load_state(r);
-  engine_ = static_cast<SplitEngine>(engine_byte);
-  max_bins_ = static_cast<std::size_t>(max_bins);
   k_ = static_cast<std::size_t>(k);
-  base_score_ = base_score;
   lr_ = lr;
-  bounds_ = std::move(bounds);
   trees_ = std::move(trees);
 }
 
@@ -224,7 +182,6 @@ void hash_config(ckpt::Hasher128& h, const GbdtConfig& cfg) {
   h.u64(cfg.num_rounds);
   h.f64(cfg.learning_rate);
   h.f64(cfg.subsample);
-  h.u8(static_cast<std::uint8_t>(cfg.engine));
   h.u64(cfg.max_bins);
   h.u64(cfg.tree.max_depth);
   h.u64(cfg.tree.min_samples_leaf);

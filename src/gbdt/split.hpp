@@ -1,10 +1,11 @@
 #pragma once
-// Split-search helpers shared by the exact and histogram tree engines
-// (gbdt/tree.cpp and gbdt/hist.cpp). Both engines reduce per-feature
-// candidates through the SAME deterministic preference order, so the
-// documented tie-break (higher gain, then lower feature index, then lower
+// Split-search helpers shared by every tree grower: the histogram engine
+// (gbdt/hist.cpp), the classification tree (gbdt/tree.cpp) and the
+// exact-engine test oracle (tests/oracle/exact_gbdt.cpp). All of them reduce
+// per-feature candidates through the SAME deterministic preference order, so
+// the documented tie-break (higher gain, then lower feature index, then lower
 // threshold) has exactly one implementation — tests/test_gbdt.cpp pins it on
-// both engines.
+// the histogram engine and the oracle alike.
 
 #include <cmath>
 #include <cstddef>
@@ -36,8 +37,8 @@ inline std::vector<std::size_t> feature_subset(std::size_t cols, double colsampl
 }
 
 /// Best split found while scanning one feature. `bin` is only meaningful for
-/// the histogram engine (the last bin routed left); the exact engine leaves
-/// it unused.
+/// the histogram engine (the last bin routed left); the sort-based scans
+/// leave it unused.
 struct SplitCandidate {
   bool valid = false;
   double gain = -std::numeric_limits<double>::infinity();

@@ -25,101 +25,13 @@ FeatureMatrix FeatureMatrix::from_rows(const std::vector<std::vector<double>>& r
 }
 
 // Split-search helpers (feature_subset, SplitCandidate, improves, best_split)
-// live in gbdt/split.hpp, shared with the histogram engine in gbdt/hist.cpp.
+// live in gbdt/split.hpp, shared by the classification tree below and the
+// histogram engine in gbdt/hist.cpp.
 using detail::SplitCandidate;
 
 // ---------------------------------------------------------------------------
 // RegressionTree
 // ---------------------------------------------------------------------------
-
-void RegressionTree::fit(const FeatureMatrix& x, const std::vector<double>& grad,
-                         const std::vector<double>& hess, const TreeConfig& cfg, Rng& rng) {
-  if (x.rows == 0 || x.cols == 0) throw std::invalid_argument("RegressionTree::fit: empty data");
-  if (grad.size() != x.rows || hess.size() != x.rows)
-    throw std::invalid_argument("RegressionTree::fit: grad/hess size mismatch");
-  nodes_.clear();
-  std::vector<std::size_t> indices(x.rows);
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  build(x, grad, hess, indices, 0, cfg, rng);
-}
-
-std::int32_t RegressionTree::build(const FeatureMatrix& x, const std::vector<double>& grad,
-                                   const std::vector<double>& hess,
-                                   std::vector<std::size_t>& indices, std::size_t depth,
-                                   const TreeConfig& cfg, Rng& rng) {
-  double g_sum = 0.0, h_sum = 0.0;
-  for (std::size_t i : indices) {
-    g_sum += grad[i];
-    h_sum += hess[i];
-  }
-
-  Node node;
-  node.depth = depth;
-  node.value = -g_sum / (h_sum + cfg.lambda);
-
-  auto make_leaf = [&]() {
-    nodes_.push_back(node);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
-  };
-
-  if (depth >= cfg.max_depth || indices.size() < 2 * cfg.min_samples_leaf) return make_leaf();
-
-  const double parent_score = g_sum * g_sum / (h_sum + cfg.lambda);
-
-  // The subset is drawn (and the RNG advanced) before any parallel work; each
-  // feature scan then only reads shared state and writes its own candidate.
-  const std::vector<std::size_t> feats = detail::feature_subset(x.cols, cfg.colsample, rng);
-  const SplitCandidate best = detail::best_split(feats, cfg.pool, [&](std::size_t f) {
-    // Sort indices by feature value and scan split points.
-    SplitCandidate cand;
-    cand.feature = f;
-    std::vector<std::size_t> sorted = indices;
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::size_t a, std::size_t b) { return x.at(a, f) < x.at(b, f); });
-    double gl = 0.0, hl = 0.0;
-    for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
-      gl += grad[sorted[pos]];
-      hl += hess[sorted[pos]];
-      const double v = x.at(sorted[pos], f);
-      const double v_next = x.at(sorted[pos + 1], f);
-      if (v == v_next) continue;  // cannot split between equal values
-      const std::size_t n_left = pos + 1;
-      const std::size_t n_right = sorted.size() - n_left;
-      if (n_left < cfg.min_samples_leaf || n_right < cfg.min_samples_leaf) continue;
-      const double gr = g_sum - gl, hr = h_sum - hl;
-      const double gain = gl * gl / (hl + cfg.lambda) + gr * gr / (hr + cfg.lambda) -
-                          parent_score;
-      if (gain > cfg.min_gain && (!cand.valid || gain > cand.gain)) {
-        cand.valid = true;
-        cand.gain = gain;
-        cand.threshold = 0.5 * (v + v_next);
-      }
-    }
-    return cand;
-  });
-
-  if (!best.valid) return make_leaf();
-  const std::size_t best_feature = best.feature;
-  const double best_threshold = best.threshold;
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (std::size_t i : indices) {
-    if (x.at(i, best_feature) <= best_threshold) left_idx.push_back(i);
-    else right_idx.push_back(i);
-  }
-  if (left_idx.empty() || right_idx.empty()) return make_leaf();
-
-  node.leaf = false;
-  node.feature = best_feature;
-  node.threshold = best_threshold;
-  nodes_.push_back(node);
-  const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-  const std::int32_t left = build(x, grad, hess, left_idx, depth + 1, cfg, rng);
-  const std::int32_t right = build(x, grad, hess, right_idx, depth + 1, cfg, rng);
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
-  return self;
-}
 
 template <typename Row>
 double RegressionTree::predict_impl(Row&& feature_at) const {

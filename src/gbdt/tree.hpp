@@ -1,8 +1,8 @@
 #pragma once
 // Decision trees: an XGBoost-style regression tree fit to per-sample
-// gradient/hessian pairs (used by the multiclass GBDT behind CQC), and a
-// sample-weighted classification tree (used by AdaBoost-SAMME behind the
-// Ensemble baseline).
+// gradient/hessian pairs by the histogram split engine (used by the
+// multiclass GBDT behind CQC), and a sample-weighted classification tree
+// (used by AdaBoost-SAMME behind the Ensemble baseline).
 
 #include <cstddef>
 #include <vector>
@@ -53,13 +53,10 @@ class RegressionTree {
  public:
   RegressionTree() = default;
 
-  void fit(const FeatureMatrix& x, const std::vector<double>& grad,
-           const std::vector<double>& hess, const TreeConfig& cfg, Rng& rng);
-
-  /// Histogram-engine fit (gbdt/hist.cpp): same objective, leaf values and
-  /// tie-break as fit(), but split candidates come from the fixed bin
-  /// boundaries in `ts` and `rows` selects the (absolute) training rows this
-  /// tree sees; grad/hess are indexed by absolute row and must span ts.rows().
+  /// Histogram-engine fit (gbdt/hist.cpp): split candidates come from the
+  /// fixed bin boundaries in `ts` and `rows` selects the (absolute) training
+  /// rows this tree sees; grad/hess are indexed by absolute row and must span
+  /// ts.rows().
   void fit_hist(const HistTrainSet& ts, const std::vector<std::size_t>& rows,
                 const std::vector<double>& grad, const std::vector<double>& hess,
                 const TreeConfig& cfg, Rng& rng);
@@ -91,10 +88,6 @@ class RegressionTree {
     std::size_t depth = 0;
   };
   std::vector<Node> nodes_;
-
-  std::int32_t build(const FeatureMatrix& x, const std::vector<double>& grad,
-                     const std::vector<double>& hess, std::vector<std::size_t>& indices,
-                     std::size_t depth, const TreeConfig& cfg, Rng& rng);
 
   std::int32_t build_hist(const HistTrainSet& ts, const std::vector<double>& grad,
                           const std::vector<double>& hess,

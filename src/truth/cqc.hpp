@@ -22,11 +22,9 @@ std::vector<double> cqc_features(const QueryResponse& response, double delay_sca
 inline constexpr std::size_t kCqcFeatureDims = 6 + dataset::Questionnaire::kDims;
 
 struct CqcConfig {
-  /// The GBDT behind CQC. `gbdt.engine` selects the split engine
-  /// (docs/GBDT.md): the histogram engine is the production default for
-  /// every-cycle retrains at scale; gbdt::SplitEngine::kExactReference keeps
-  /// the exact per-node sort search for differential testing. The engine
-  /// choice and fitted bin boundaries travel with checkpoints.
+  /// The GBDT behind CQC, grown by the histogram split engine every cycle
+  /// (docs/GBDT.md). Checkpoints carry the fitted trees only; each retrain
+  /// recomputes the bin boundaries from its own training set.
   gbdt::GbdtConfig gbdt{
       .num_rounds = 40,
       .learning_rate = 0.15,
@@ -73,7 +71,7 @@ class CqcAggregator : public Aggregator {
 /// Artifact-cache key folds (src/cache, docs/CACHING.md): a memoized CQC fit
 /// is keyed by the full configuration plus the training corpus bytes.
 /// hash_config covers every knob the fit consumes (the GbdtConfig including
-/// split engine, bins and seed; the questionnaire ablation; the delay
+/// bins and seed; the questionnaire ablation; the delay
 /// normalization) — but not the thread pool, which never changes the fitted
 /// bits. hash_training covers everything feature extraction reads from each
 /// labeled query (worker answers, questionnaires, delays) plus the gold

@@ -270,28 +270,33 @@ TEST(ArtifactCacheCorruption, BitFlipsAreTypedMissesThatRecompute) {
 }
 
 TEST(ArtifactCacheCorruption, Version1EntryIsACountedMissThatRecomputes) {
-  // Entries written before the binary layer records carry container version
-  // 1: a typed miss, recomputed and rewritten at the current version.
-  TempDir dir("cache_v1");
-  ArtifactCache cache({dir.path, 0});
-  const Digest128 k = key_of("v1");
-  cache.store(k, "current-bytes");
-  std::string image = read_file(cache.entry_path(k));
-  image[8] = 1;  // version u32 little-endian at offset 8
-  write_file(cache.entry_path(k), image);
+  // Entries written by any older container version — 1 (decimal-text
+  // networks), 2 (GBT2 forests with bin boundaries) — are typed misses,
+  // recomputed and rewritten at the current version.
+  for (std::uint32_t version = 1; version < ckpt::kFormatVersion; ++version) {
+    TempDir dir("cache_v" + std::to_string(version));
+    ArtifactCache cache({dir.path, 0});
+    const Digest128 k = key_of("v" + std::to_string(version));
+    cache.store(k, "current-bytes");
+    std::string image = read_file(cache.entry_path(k));
+    image[8] = static_cast<char>(version);  // version u32 little-endian at offset 8
+    write_file(cache.entry_path(k), image);
 
-  int computes = 0;
-  const FetchResult r = cache.fetch_or_compute(k, [&] {
-    ++computes;
-    return std::string("current-bytes");
-  });
-  EXPECT_TRUE(r.computed);
-  EXPECT_EQ(computes, 1);
-  const CacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.corrupt_entries, 1u);
-  EXPECT_EQ(cache.lookup(k).value_or(""), "current-bytes");
-  EXPECT_EQ(static_cast<unsigned char>(read_file(cache.entry_path(k))[8]), ckpt::kFormatVersion);
+    int computes = 0;
+    const FetchResult r = cache.fetch_or_compute(k, [&] {
+      ++computes;
+      return std::string("current-bytes");
+    });
+    EXPECT_TRUE(r.computed) << "version " << version;
+    EXPECT_EQ(computes, 1) << "version " << version;
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 1u) << "version " << version;
+    EXPECT_EQ(s.corrupt_entries, 1u) << "version " << version;
+    EXPECT_EQ(cache.lookup(k).value_or(""), "current-bytes") << "version " << version;
+    EXPECT_EQ(static_cast<unsigned char>(read_file(cache.entry_path(k))[8]),
+              ckpt::kFormatVersion)
+        << "version " << version;
+  }
 }
 
 TEST(ArtifactCacheCorruption, WrongKeyEntryIsATypedMiss) {

@@ -633,17 +633,20 @@ TEST(CkptExpertSection, Version1ImageIsBadVersion) {
   experts::DdmClassifier ddm = tiny_trained_ddm();
   Writer w;
   ddm.save_state(w);
-  std::string image = file_image(w);
-  image[8] = 1;
-  EXPECT_EQ(code_of(image), CkptErrc::kBadVersion);
+  const std::string image = file_image(w);
+  for (std::uint32_t version = 1; version < kFormatVersion; ++version) {
+    std::string old = image;
+    old[8] = static_cast<char>(version);
+    EXPECT_EQ(code_of(old), CkptErrc::kBadVersion) << "version " << version;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Forest (GBT2) section corruption battery
+// Forest (GBT3) section corruption battery
 // ---------------------------------------------------------------------------
 
-/// A small histogram-engine forest checkpoint: engine byte, max_bins, bin
-/// boundaries (BIN1 section) and trees, all inside the standard container.
+/// A small forest checkpoint: class count, shrinkage and trees, inside the
+/// standard container.
 std::string forest_image(gbdt::Gbdt& model) {
   Rng rng(41);
   std::vector<std::vector<double>> rows(60, std::vector<double>(4));
@@ -671,9 +674,9 @@ TEST(CkptForestSection, TruncationAtEveryLengthIsTyped) {
 }
 
 TEST(CkptForestSection, BitFlippedForestBytesAreTyped) {
-  // Any flip inside the serialized forest — engine byte, boundary doubles,
-  // node tables — lands in the payload region, so the CRC gate must reject
-  // it before load_state ever runs.
+  // Any flip inside the serialized forest — class count, shrinkage, node
+  // tables — lands in the payload region, so the CRC gate must reject it
+  // before load_state ever runs.
   gbdt::Gbdt model;
   const std::string image = forest_image(model);
   for (std::size_t pos = 20; pos < image.size(); ++pos) {
@@ -708,41 +711,6 @@ TEST(CkptForestSection, TruncatedForestPayloadIsMalformedAndLeavesModelUntouched
   Writer after;
   model.save_state(after);
   EXPECT_EQ(before.payload(), after.payload());
-}
-
-TEST(CkptForestSection, OutOfRangeEngineByteIsMalformed) {
-  gbdt::Gbdt model;
-  (void)forest_image(model);
-  Writer w;
-  model.save_state(w);
-  std::string payload = w.payload();
-  // The engine byte is the first payload byte after the 4-char section tag.
-  payload[4] = static_cast<char>(7);
-  gbdt::Gbdt other;
-  Reader r(payload);
-  try {
-    other.load_state(r);
-    FAIL() << "expected CkptError";
-  } catch (const CkptError& e) {
-    EXPECT_EQ(e.code(), CkptErrc::kMalformed);
-  }
-}
-
-TEST(CkptForestSection, NonMonotoneBinBoundariesAreMalformed) {
-  // Decreasing cuts behind a valid container: BinBoundaries::load_state must
-  // reject them (a non-monotone cut table would silently mis-route rows).
-  Writer w;
-  w.begin_section("BIN1");
-  w.u64(1);
-  w.vec_f64({2.0, 1.0});
-  gbdt::BinBoundaries bounds;
-  Reader r(w.payload());
-  try {
-    bounds.load_state(r);
-    FAIL() << "expected CkptError";
-  } catch (const CkptError& e) {
-    EXPECT_EQ(e.code(), CkptErrc::kMalformed);
-  }
 }
 
 TEST(CkptGenerations, ConcurrentSiblingRingsNeverCrossContaminate) {

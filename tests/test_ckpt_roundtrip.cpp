@@ -130,17 +130,15 @@ std::vector<truth::LabeledQuery> synth_labeled_queries(std::size_t n, Rng& rng) 
 
 TEST(CkptModuleRoundTrip, HistogramCqcMidTrainingResumeIsByteIdentical) {
   // CQC retrains every cycle; a checkpoint lands between two retrains. The
-  // histogram-engine model (the CQC default, docs/GBDT.md) must resume
-  // byte-identically — including the serialized bin boundaries — and the
-  // resumed aggregator's next retrain must match the uninterrupted one.
+  // forest (docs/GBDT.md) must resume byte-identically, and the resumed
+  // aggregator's next retrain — which rebuilds its bin boundaries from the
+  // new training set — must match the uninterrupted one.
   Rng rng(31);
   const auto first_batch = synth_labeled_queries(120, rng);
   const auto second_batch = synth_labeled_queries(180, rng);
 
   truth::CqcAggregator cqc;
-  ASSERT_EQ(cqc.config().gbdt.engine, gbdt::SplitEngine::kHistogram);
   cqc.fit(first_batch);
-  ASSERT_FALSE(cqc.model().bin_bounds().empty());
 
   // Checkpoint mid-training (after retrain #1, before retrain #2).
   ckpt::Writer w;
@@ -150,9 +148,6 @@ TEST(CkptModuleRoundTrip, HistogramCqcMidTrainingResumeIsByteIdentical) {
   resumed.load_state(r);
   EXPECT_TRUE(r.at_end());
 
-  // The restored model carries the engine choice and the exact boundaries.
-  EXPECT_EQ(resumed.model().engine(), gbdt::SplitEngine::kHistogram);
-  EXPECT_TRUE(resumed.model().bin_bounds() == cqc.model().bin_bounds());
   ckpt::Writer w2;
   resumed.save_state(w2);
   EXPECT_EQ(w.payload(), w2.payload());
@@ -169,29 +164,6 @@ TEST(CkptModuleRoundTrip, HistogramCqcMidTrainingResumeIsByteIdentical) {
   cqc.save_state(wa);
   resumed.save_state(wb);
   EXPECT_EQ(wa.payload(), wb.payload());
-}
-
-TEST(CkptModuleRoundTrip, ExactEngineCqcAlsoRoundTrips) {
-  // The exact reference engine stays selectable through CqcConfig and its
-  // checkpoints interoperate with the same container.
-  Rng rng(32);
-  truth::CqcConfig cfg;
-  cfg.gbdt.engine = gbdt::SplitEngine::kExactReference;
-  truth::CqcAggregator cqc(cfg);
-  cqc.fit(synth_labeled_queries(100, rng));
-  EXPECT_TRUE(cqc.model().bin_bounds().empty());
-
-  ckpt::Writer w;
-  cqc.save_state(w);
-  truth::CqcAggregator restored;  // default (histogram) config...
-  ckpt::Reader r(w.payload());
-  restored.load_state(r);
-  // ...but the loaded model is what the checkpoint says it is.
-  EXPECT_EQ(restored.model().engine(), gbdt::SplitEngine::kExactReference);
-  const auto eval = synth_labeled_queries(20, rng);
-  std::vector<crowd::QueryResponse> batch;
-  for (const auto& lq : eval) batch.push_back(lq.response);
-  EXPECT_EQ(cqc.aggregate(batch), restored.aggregate(batch));
 }
 
 TEST(CkptModuleRoundTrip, AdaBoostPredictionsAreBitExact) {
@@ -607,8 +579,9 @@ TEST_F(CkptSystemTest, CorruptedCheckpointIsRejectedBeforeAnyMutation) {
 }
 
 TEST_F(CkptSystemTest, Version1ImageIsBadVersionBeforeAnyMutation) {
-  // An image from before the binary layer records (container version 1)
-  // fails load_state_image with kBadVersion and changes nothing.
+  // An image of any older container version — 1 (decimal-text networks),
+  // 2 (GBT2 forests with bin boundaries) — fails load_state_image with
+  // kBadVersion and changes nothing.
   const dataset::SensingCycleStream stream(setup().data, setup().stream_cfg);
   CrowdLearnSystem sys(fast_committee(), system_config(1, false));
   sys.initialize(setup().data, setup().pilot);
@@ -616,15 +589,17 @@ TEST_F(CkptSystemTest, Version1ImageIsBadVersionBeforeAnyMutation) {
   sys.run_cycle(setup().data, platform, stream.cycle(0));
 
   const std::string before = sys.state_image(&platform);
-  std::string old = before;
-  old[8] = 1;  // version u32 little-endian at offset 8
-  try {
-    sys.load_state_image(old, &platform);
-    FAIL() << "expected CkptError";
-  } catch (const ckpt::CkptError& e) {
-    EXPECT_EQ(e.code(), ckpt::CkptErrc::kBadVersion);
+  for (std::uint32_t version = 1; version < ckpt::kFormatVersion; ++version) {
+    std::string old = before;
+    old[8] = static_cast<char>(version);  // version u32 little-endian at offset 8
+    try {
+      sys.load_state_image(old, &platform);
+      ADD_FAILURE() << "expected CkptError for version " << version;
+    } catch (const ckpt::CkptError& e) {
+      EXPECT_EQ(e.code(), ckpt::CkptErrc::kBadVersion) << "version " << version;
+    }
+    EXPECT_EQ(sys.state_image(&platform), before) << "version " << version;
   }
-  EXPECT_EQ(sys.state_image(&platform), before);
 }
 
 TEST_F(CkptSystemTest, MalformedPayloadBehindValidCrcRollsBack) {

@@ -4,6 +4,7 @@
 
 #include "gbdt/gbdt.hpp"
 #include "gbdt/hist.hpp"
+#include "oracle/exact_gbdt.hpp"
 #include "util/thread_pool.hpp"
 
 namespace crowdlearn::gbdt {
@@ -184,7 +185,8 @@ TEST(Gbdt, ParallelFitWithColumnSubsamplingMatchesSerial) {
 TEST(RegressionTreeSplit, EqualGainTieBreaksToLowestFeatureAtAnyThreadCount) {
   // Columns 1 and 2 are exact duplicates of column 0, so every candidate
   // split has an exactly equal gain on all three features. The deterministic
-  // tie-break must pick feature 0 everywhere, serial or parallel.
+  // tie-break must pick feature 0 everywhere, serial or parallel, on the
+  // histogram engine and on the exact-engine oracle.
   Rng rng(9);
   std::vector<std::vector<double>> rows;
   std::vector<double> grad, hess;
@@ -195,27 +197,39 @@ TEST(RegressionTreeSplit, EqualGainTieBreaksToLowestFeatureAtAnyThreadCount) {
     hess.push_back(1.0);
   }
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
+  const HistTrainSet ts(x, 32);
+  std::vector<std::size_t> all_rows(x.rows);
+  std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
   TreeConfig cfg;
   cfg.max_depth = 3;
 
   RegressionTree serial_tree;
-  serial_tree.fit(x, grad, hess, cfg, rng);
+  serial_tree.fit_hist(ts, all_rows, grad, hess, cfg, rng);
+  oracle::ExactRegressionTree serial_exact;
+  serial_exact.fit(x, grad, hess, cfg, rng);
   ASSERT_FALSE(serial_tree.split_features().empty());
+  ASSERT_FALSE(serial_exact.split_features().empty());
   for (std::size_t f : serial_tree.split_features()) EXPECT_EQ(f, 0u);
+  for (std::size_t f : serial_exact.split_features()) EXPECT_EQ(f, 0u);
 
   util::ThreadPool pool(4);
   cfg.pool = &pool;
   RegressionTree parallel_tree;
-  parallel_tree.fit(x, grad, hess, cfg, rng);
+  parallel_tree.fit_hist(ts, all_rows, grad, hess, cfg, rng);
   EXPECT_EQ(parallel_tree.split_features(), serial_tree.split_features());
   EXPECT_EQ(parallel_tree.num_nodes(), serial_tree.num_nodes());
+  oracle::ExactRegressionTree parallel_exact;
+  parallel_exact.fit(x, grad, hess, cfg, rng);
+  EXPECT_EQ(parallel_exact.split_features(), serial_exact.split_features());
+  EXPECT_EQ(parallel_exact.num_nodes(), serial_exact.num_nodes());
 }
 
 TEST(RegressionTreeSplit, TwoFeatureGainTiePicksDocumentedWinnerOnBothEngines) {
   // Feature 1 is an exact duplicate of feature 0, so at every node both
   // features offer the same best gain. The documented order — higher gain,
   // then LOWER FEATURE INDEX, then lower threshold — makes feature 0 the
-  // only legal winner, and both split engines must honor it.
+  // only legal winner, and both the histogram engine and the exact-engine
+  // oracle must honor it.
   Rng rng(12);
   std::vector<std::vector<double>> rows;
   std::vector<double> grad, hess;
@@ -230,7 +244,7 @@ TEST(RegressionTreeSplit, TwoFeatureGainTiePicksDocumentedWinnerOnBothEngines) {
   cfg.max_depth = 3;
   Rng fit_rng(1);
 
-  RegressionTree exact_tree;
+  oracle::ExactRegressionTree exact_tree;
   exact_tree.fit(x, grad, hess, cfg, fit_rng);
   ASSERT_FALSE(exact_tree.split_features().empty());
   for (std::size_t f : exact_tree.split_features()) EXPECT_EQ(f, 0u);

@@ -1,9 +1,10 @@
 // Differential and property tests for the histogram split engine
-// (gbdt/hist.hpp, docs/GBDT.md). The exact engine is the reference: when a
-// feature has no more distinct values than max_bins the quantization is
-// lossless and the two engines must agree; on truly continuous features they
-// may diverge tree-by-tree but must reach the same accuracy. Thread
-// invariance and retrain determinism are exact (byte-level) requirements.
+// (gbdt/hist.hpp, docs/GBDT.md). The exact-engine oracle
+// (tests/oracle/exact_gbdt.hpp) is the reference: when a feature has no more
+// distinct values than max_bins the quantization is lossless and the two
+// engines must agree; on truly continuous features they may diverge
+// tree-by-tree but must reach the same accuracy. Thread invariance and
+// retrain determinism are exact (byte-level) requirements.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "ckpt/io.hpp"
 #include "gbdt/gbdt.hpp"
 #include "gbdt/hist.hpp"
+#include "oracle/exact_gbdt.hpp"
 #include "util/thread_pool.hpp"
 
 namespace crowdlearn::gbdt {
@@ -52,9 +54,8 @@ void make_continuous_data(std::vector<std::vector<double>>& rows,
     }
 }
 
-GbdtConfig engine_cfg(SplitEngine engine, std::size_t max_bins = 64) {
+GbdtConfig bins_cfg(std::size_t max_bins) {
   GbdtConfig cfg;
-  cfg.engine = engine;
   cfg.max_bins = max_bins;
   return cfg;
 }
@@ -74,12 +75,13 @@ TEST(HistVsExact, IdenticalPredictionsWhenBinsAreExact) {
   make_grid_data(rows, y, 60, 24, rng);
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
 
-  GbdtConfig exact_cfg = engine_cfg(SplitEngine::kExactReference);
-  GbdtConfig hist_cfg = engine_cfg(SplitEngine::kHistogram, 64);
+  GbdtConfig exact_cfg;
+  GbdtConfig hist_cfg = bins_cfg(64);
   exact_cfg.subsample = hist_cfg.subsample = 1.0;
   exact_cfg.num_rounds = hist_cfg.num_rounds = 20;
 
-  Gbdt exact_model, hist_model;
+  oracle::ExactGbdt exact_model;
+  Gbdt hist_model;
   exact_model.fit(x, y, 3, exact_cfg);
   hist_model.fit(x, y, 3, hist_cfg);
 
@@ -108,12 +110,13 @@ TEST(HistVsExact, RowSubsamplingKeepsEnginesEquallyAccurate) {
   make_grid_data(rows, y, 60, 20, rng);
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
 
-  GbdtConfig exact_cfg = engine_cfg(SplitEngine::kExactReference);
-  GbdtConfig hist_cfg = engine_cfg(SplitEngine::kHistogram, 64);
+  GbdtConfig exact_cfg;
+  GbdtConfig hist_cfg = bins_cfg(64);
   exact_cfg.subsample = hist_cfg.subsample = 0.9;
   exact_cfg.num_rounds = hist_cfg.num_rounds = 15;
 
-  Gbdt exact_model, hist_model;
+  oracle::ExactGbdt exact_model;
+  Gbdt hist_model;
   exact_model.fit(x, y, 3, exact_cfg);
   hist_model.fit(x, y, 3, hist_cfg);
   EXPECT_GE(exact_model.accuracy(x, y), 0.95);
@@ -130,11 +133,12 @@ TEST(HistVsExact, BoundedDivergenceAndSameAccuracyOnContinuousFeatures) {
   make_continuous_data(rows, y, 120, rng);
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
 
-  GbdtConfig exact_cfg = engine_cfg(SplitEngine::kExactReference);
-  GbdtConfig hist_cfg = engine_cfg(SplitEngine::kHistogram, 16);
+  GbdtConfig exact_cfg;
+  GbdtConfig hist_cfg = bins_cfg(16);
   exact_cfg.num_rounds = hist_cfg.num_rounds = 30;
 
-  Gbdt exact_model, hist_model;
+  oracle::ExactGbdt exact_model;
+  Gbdt hist_model;
   exact_model.fit(x, y, 3, exact_cfg);
   hist_model.fit(x, y, 3, hist_cfg);
 
@@ -176,7 +180,7 @@ TEST_P(HistThreadsTest, FitIsByteIdenticalToSerialReference) {
   }
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
 
-  GbdtConfig serial_cfg = engine_cfg(SplitEngine::kHistogram, 32);
+  GbdtConfig serial_cfg = bins_cfg(32);
   serial_cfg.num_rounds = 12;
   serial_cfg.tree.colsample = 0.8;  // exercise the pre-dispatch RNG draw
   Gbdt serial_model;
@@ -203,14 +207,14 @@ TEST(HistEngine, RepeatedRetrainsAreByteIdentical) {
   std::vector<std::size_t> y;
   make_continuous_data(rows, y, 40, rng);
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
-  GbdtConfig cfg = engine_cfg(SplitEngine::kHistogram, 24);
+  GbdtConfig cfg = bins_cfg(24);
   cfg.num_rounds = 10;
 
   Gbdt a, b;
   a.fit(x, y, 3, cfg);
   b.fit(x, y, 3, cfg);
   b.fit(x, y, 3, cfg);  // refitting the same model must fully reset state
-  EXPECT_TRUE(a.bin_bounds() == b.bin_bounds());
+  EXPECT_EQ(a.state_payload(), b.state_payload());
   for (int i = 0; i < 25; ++i) {
     const std::vector<double> q{rng.uniform(-1, 4), rng.uniform(-1, 4)};
     EXPECT_EQ(a.predict_proba(q), b.predict_proba(q));
@@ -441,7 +445,7 @@ TEST(HistEngine, MissingValuesRouteRightAndTrainingDoesNotCrash) {
     y.push_back(v > 0.0 ? 1u : 0u);
   }
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
-  GbdtConfig cfg = engine_cfg(SplitEngine::kHistogram, 32);
+  GbdtConfig cfg = bins_cfg(32);
   cfg.num_rounds = 10;
   Gbdt model;
   model.fit(x, y, 2, cfg);
@@ -455,16 +459,18 @@ TEST(HistEngine, MissingValuesRouteRightAndTrainingDoesNotCrash) {
 // ---------------------------------------------------------------------------
 
 TEST(HistEngine, EngineAndBoundariesSurviveSerializationRoundTrip) {
+  // The GBT3 section keeps only what prediction reads (class count,
+  // shrinkage, trees); the boundaries are rebuilt by the next fit. What is
+  // kept must survive bit-exactly and re-serialize to the same bytes.
   Rng rng(24);
   std::vector<std::vector<double>> rows;
   std::vector<std::size_t> y;
   make_continuous_data(rows, y, 40, rng);
   const FeatureMatrix x = FeatureMatrix::from_rows(rows);
-  GbdtConfig cfg = engine_cfg(SplitEngine::kHistogram, 24);
+  GbdtConfig cfg = bins_cfg(24);
   cfg.num_rounds = 8;
   Gbdt model;
   model.fit(x, y, 3, cfg);
-  ASSERT_FALSE(model.bin_bounds().empty());
 
   ckpt::Writer w;
   model.save_state(w);
@@ -473,9 +479,9 @@ TEST(HistEngine, EngineAndBoundariesSurviveSerializationRoundTrip) {
   Gbdt restored;
   ckpt::Reader r(payload);
   restored.load_state(r);
-  EXPECT_EQ(restored.engine(), SplitEngine::kHistogram);
-  EXPECT_EQ(restored.max_bins(), 24u);
-  EXPECT_TRUE(restored.bin_bounds() == model.bin_bounds());
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(restored.num_classes(), 3u);
+  EXPECT_EQ(restored.num_rounds(), 8u);
   for (int i = 0; i < 25; ++i) {
     const std::vector<double> q{rng.uniform(-1, 4), rng.uniform(-1, 4)};
     EXPECT_EQ(model.predict_proba(q), restored.predict_proba(q));
@@ -484,31 +490,6 @@ TEST(HistEngine, EngineAndBoundariesSurviveSerializationRoundTrip) {
   ckpt::Writer w2;
   restored.save_state(w2);
   EXPECT_EQ(w2.payload(), payload);  // byte-identical re-serialization
-}
-
-TEST(HistEngine, ExactEngineModelSerializesEmptyBoundaries) {
-  Rng rng(25);
-  std::vector<std::vector<double>> rows;
-  std::vector<std::size_t> y;
-  make_continuous_data(rows, y, 30, rng);
-  GbdtConfig cfg = engine_cfg(SplitEngine::kExactReference);
-  cfg.num_rounds = 4;
-  Gbdt model;
-  model.fit(FeatureMatrix::from_rows(rows), y, 3, cfg);
-  EXPECT_TRUE(model.bin_bounds().empty());
-
-  ckpt::Writer w;
-  model.save_state(w);
-  Gbdt restored;
-  ckpt::Reader r(w.payload());
-  restored.load_state(r);
-  EXPECT_EQ(restored.engine(), SplitEngine::kExactReference);
-  EXPECT_TRUE(restored.bin_bounds().empty());
-}
-
-TEST(SplitEngineName, NamesBothEngines) {
-  EXPECT_STREQ(split_engine_name(SplitEngine::kHistogram), "histogram");
-  EXPECT_STREQ(split_engine_name(SplitEngine::kExactReference), "exact");
 }
 
 }  // namespace

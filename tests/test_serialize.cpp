@@ -235,17 +235,20 @@ TEST(Serialize, RejectsGarbageAndWrongVersions) {
     for (std::size_t len = 0; len < full.size(); ++len)
       EXPECT_EQ(load_failure(full.substr(0, len)), CkptErrc::kMalformed) << "length " << len;
   }
-  // ...and a model inside a container of another version never reaches it.
+  // ...and a model inside a container of any older version never reaches it.
   Rng rng(7);
   ckpt::Writer w;
   save_model(make_cnn(rng), w);
-  std::string image = ckpt::file_image(w);
-  image[8] = static_cast<char>(ckpt::kFormatVersion - 1);
-  try {
-    ckpt::validate_image(image);
-    FAIL() << "expected kBadVersion";
-  } catch (const CkptError& e) {
-    EXPECT_EQ(e.code(), CkptErrc::kBadVersion);
+  const std::string image = ckpt::file_image(w);
+  for (std::uint32_t version = 1; version < ckpt::kFormatVersion; ++version) {
+    std::string old = image;
+    old[8] = static_cast<char>(version);  // version u32 little-endian at offset 8
+    try {
+      ckpt::validate_image(old);
+      ADD_FAILURE() << "expected kBadVersion for version " << version;
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), CkptErrc::kBadVersion) << "version " << version;
+    }
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "gbdt/hist.hpp"
 #include "gbdt/tree.hpp"
 
 namespace crowdlearn::gbdt {
@@ -14,6 +17,13 @@ TEST(FeatureMatrix, FromRows) {
   EXPECT_THROW(FeatureMatrix::from_rows({{1}, {1, 2}}), std::invalid_argument);
 }
 
+/// Every row of `ts`, in order: the row set of an unsubsampled fit.
+std::vector<std::size_t> all_rows(const HistTrainSet& ts) {
+  std::vector<std::size_t> rows(ts.rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return rows;
+}
+
 TEST(RegressionTree, FitsStepFunction) {
   // Target: -1 for x < 0.5, +1 for x >= 0.5. With squared loss, grad = pred
   // - target = -target at pred 0, hess = 1; leaf value ~ mean target.
@@ -26,17 +36,18 @@ TEST(RegressionTree, FitsStepFunction) {
     grad.push_back(x < 0.5 ? 1.0 : -1.0);  // grad = -target
     hess.push_back(1.0);
   }
+  const HistTrainSet ts(FeatureMatrix::from_rows(rows), 64);
   RegressionTree tree;
   TreeConfig cfg;
   cfg.lambda = 0.0;
-  tree.fit(FeatureMatrix::from_rows(rows), grad, hess, cfg, rng);
+  tree.fit_hist(ts, all_rows(ts), grad, hess, cfg, rng);
   EXPECT_TRUE(tree.trained());
   EXPECT_NEAR(tree.predict({0.2}), -1.0, 0.1);
   EXPECT_NEAR(tree.predict({0.8}), 1.0, 0.1);
 }
 
 TEST(RegressionTree, LambdaShrinksLeaves) {
-  std::vector<std::vector<double>> rows{{0.0}, {0.1}, {0.9}, {1.0}};
+  const HistTrainSet ts(FeatureMatrix::from_rows({{0.0}, {0.1}, {0.9}, {1.0}}), 64);
   std::vector<double> grad{-1, -1, -1, -1};
   std::vector<double> hess{1, 1, 1, 1};
   Rng rng(2);
@@ -44,9 +55,9 @@ TEST(RegressionTree, LambdaShrinksLeaves) {
   TreeConfig cfg;
   cfg.lambda = 0.0;
   cfg.min_samples_leaf = 4;  // forces a single leaf
-  no_reg.fit(FeatureMatrix::from_rows(rows), grad, hess, cfg, rng);
+  no_reg.fit_hist(ts, all_rows(ts), grad, hess, cfg, rng);
   cfg.lambda = 4.0;
-  heavy_reg.fit(FeatureMatrix::from_rows(rows), grad, hess, cfg, rng);
+  heavy_reg.fit_hist(ts, all_rows(ts), grad, hess, cfg, rng);
   EXPECT_NEAR(no_reg.predict({0.5}), 1.0, 1e-9);   // -G/H = 4/4
   EXPECT_NEAR(heavy_reg.predict({0.5}), 0.5, 1e-9);  // 4/(4+4)
 }
@@ -60,12 +71,13 @@ TEST(RegressionTree, RespectsMaxDepth) {
     grad.push_back(rng.uniform(-1, 1));
     hess.push_back(1.0);
   }
+  const HistTrainSet ts(FeatureMatrix::from_rows(rows), 64);  // one bin per value
   RegressionTree tree;
   TreeConfig cfg;
   cfg.max_depth = 2;
   cfg.min_samples_leaf = 1;
   cfg.min_gain = 0.0;
-  tree.fit(FeatureMatrix::from_rows(rows), grad, hess, cfg, rng);
+  tree.fit_hist(ts, all_rows(ts), grad, hess, cfg, rng);
   EXPECT_LE(tree.depth(), 2u);
 }
 
@@ -73,8 +85,10 @@ TEST(RegressionTree, Validation) {
   RegressionTree tree;
   EXPECT_THROW(tree.predict({1.0}), std::logic_error);
   Rng rng(4);
-  const FeatureMatrix x = FeatureMatrix::from_rows({{1.0}});
-  EXPECT_THROW(tree.fit(x, {1.0, 2.0}, {1.0}, {}, rng), std::invalid_argument);
+  const HistTrainSet ts(FeatureMatrix::from_rows({{1.0}}), 8);
+  EXPECT_THROW(tree.fit_hist(ts, {0}, {1.0, 2.0}, {1.0}, {}, rng), std::invalid_argument);
+  EXPECT_THROW(tree.fit_hist(ts, {}, {1.0}, {1.0}, {}, rng), std::invalid_argument);
+  EXPECT_THROW(tree.fit_hist(ts, {1}, {1.0}, {1.0}, {}, rng), std::invalid_argument);
 }
 
 TEST(DecisionTree, FitsAxisAlignedClasses) {
